@@ -70,13 +70,18 @@ class SplittingResult:
     notes: tuple[str, ...] = ()
     chern: Optional[ChernData] = None
     composition_kind: Optional[str] = None
+    # (sub, quotient) results of the first short exact sequence, when the
+    # classification computed them on the way; dim-2 parts have not been
+    # through chern_bound_check
+    sequence_parts: tuple["SplittingResult", ...] = ()
 
     @property
     def determined(self) -> bool:
         return self.status == "determined"
 
 
-def _result(options, provenance, notes=(), chern=None, kind=None) -> SplittingResult:
+def _result(options, provenance, notes=(), chern=None, kind=None,
+            parts=()) -> SplittingResult:
     opts = tuple(sorted(set(options), reverse=True))
     if not opts:
         raise EmptyIntersection("no candidate splitting type survived")
@@ -89,20 +94,30 @@ def _result(options, provenance, notes=(), chern=None, kind=None) -> SplittingRe
         notes=tuple(notes),
         chern=chern,
         composition_kind=kind,
+        sequence_parts=parts,
     )
 
 
 def character_root(chi: MonodromyRep, tol: Tolerances = DEFAULT,
-                   exact: bool = False) -> int:
+                   exact: bool = False,
+                   chern: Optional[ChernData] = None) -> int:
     """Root of a one-dimensional representation; always in {0, -1, -2}
     because three branch angles in [0, 1) sum to an integer."""
     if chi.n != 1:
         raise DimensionError("character_root needs a one-dimensional rep")
-    c1 = chern_class(chi, tol, exact=exact).c1
+    c1 = (chern or chern_class(chi, tol, exact=exact)).c1
     if c1 not in (0, -1, -2):
         raise RootOutOfProvenRange(
             f"character root {c1} outside {{0,-1,-2}}; computation fault")
     return c1
+
+
+def _character_result(chi: MonodromyRep, tol: Tolerances,
+                      exact: bool) -> SplittingResult:
+    chern = chern_class(chi, tol, exact=exact)
+    root = character_root(chi, tol, exact, chern=chern)
+    return _result([SplittingType.of((root,))], ["dim1.characterRoot"],
+                   chern=chern, kind="irreducible")
 
 
 def ext_splits(sub_roots: SplittingType, quotient_roots: SplittingType) -> bool:
@@ -148,6 +163,7 @@ def roots_dim2(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     chern = chern or chern_class(rep, tol, exact=exact)
     zeta = chern.c1
     notes = []
+    sequence_parts = ()
     if comp.kind == "irreducible":
         roots = SplittingType.of((-((-zeta) // 2), zeta // 2))
         options = [roots]
@@ -160,8 +176,9 @@ def roots_dim2(rep: MonodromyRep, tol: Tolerances = DEFAULT,
         provenance = ["dim2.decomposable.directSum"]
     else:
         seq = comp.sequences[0]
-        xs = character_root(seq.sub_rep, tol, exact)
-        xq = character_root(seq.quotient_rep, tol, exact)
+        sequence_parts = (_character_result(seq.sub_rep, tol, exact),
+                          _character_result(seq.quotient_rep, tol, exact))
+        xs, xq = (part.options[0].roots[0] for part in sequence_parts)
         if xq - xs < 2:
             options = [SplittingType.of((xs, xq))]
             provenance = ["dim2.reducible.split"]
@@ -179,7 +196,8 @@ def roots_dim2(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     for opt in options:
         if min(opt.roots) < -2:
             raise RootOutOfProvenRange(f"dim-2 root below -2 in {opt}")
-    return _result(options, provenance, notes, chern, comp.kind)
+    return _result(options, provenance, notes, chern, comp.kind,
+                   sequence_parts)
 
 
 def roots_dim3_irreducible(rep: MonodromyRep, tol: Tolerances = DEFAULT,
@@ -210,17 +228,21 @@ def roots_dim3_irreducible(rep: MonodromyRep, tol: Tolerances = DEFAULT,
 
 
 def _sequence_options(seq, tol: Tolerances, exact: bool,
-                      provenance: list[str]) -> set[SplittingType]:
-    """Candidate multisets implied by one short exact sequence."""
+                      provenance: list[str]):
+    """Candidate multisets implied by one short exact sequence, and the
+    (sub, quotient) results they were derived from."""
     options: set[SplittingType] = set()
     if seq.sub_dim == 2:
         side = "sub2-sequence"
         two_sided = roots_dim2(seq.sub_rep, tol, exact)
-        single = character_root(seq.quotient_rep, tol, exact)
+        character = _character_result(seq.quotient_rep, tol, exact)
+        parts = (two_sided, character)
     else:
         side = "sub1-sequence"
         two_sided = roots_dim2(seq.quotient_rep, tol, exact)
-        single = character_root(seq.sub_rep, tol, exact)
+        character = _character_result(seq.sub_rep, tol, exact)
+        parts = (character, two_sided)
+    single = character.options[0].roots[0]
     for two in two_sided.options:
         lo, hi = min(two.roots), max(two.roots)
         if seq.sub_dim == 2:
@@ -240,7 +262,7 @@ def _sequence_options(seq, tol: Tolerances, exact: bool,
                     "test (internal fault)")
             options.add(SplittingType.of((lo, hi, single)))
             provenance.append(f"dim3.{side}.split")
-    return options
+    return options, parts
 
 
 def roots_dim3_reducible(rep: MonodromyRep,
@@ -261,6 +283,7 @@ def roots_dim3_reducible(rep: MonodromyRep,
     chern = chern or chern_class(rep, tol, exact=exact)
     notes = []
     provenance: list[str] = []
+    sequence_parts = ()
 
     if comp.kind == "decomposable":
         partial: list[set[SplittingType]] = []
@@ -275,8 +298,12 @@ def roots_dim3_reducible(rep: MonodromyRep,
                 options.add(SplittingType.of(a.roots + b.roots))
         provenance.append("dim3.decomposable.directSum")
     else:
-        per_sequence = [_sequence_options(seq, tol, exact, provenance)
-                        for seq in comp.sequences]
+        per_sequence = []
+        for seq in comp.sequences:
+            seq_options, seq_parts = _sequence_options(seq, tol, exact,
+                                                       provenance)
+            per_sequence.append(seq_options)
+            sequence_parts = sequence_parts or seq_parts
         options = set.intersection(*per_sequence)
         if not options:
             raise EmptyIntersection(
@@ -293,7 +320,8 @@ def roots_dim3_reducible(rep: MonodromyRep,
     if SplittingType.of((0, -1, -3)) in options:
         raise RootOutOfProvenRange(
             "excluded multiset (0,-1,-3) produced for a reducible dim-3 rep")
-    return _result(options, provenance, notes, chern, comp.kind)
+    return _result(options, provenance, notes, chern, comp.kind,
+                   sequence_parts)
 
 
 def candidate_tree(m: int, d: int, c1: Optional[int] = None):
@@ -334,17 +362,17 @@ def candidate_tree(m: int, d: int, c1: Optional[int] = None):
 
 
 def classify(rep: MonodromyRep, tol: Tolerances = DEFAULT,
-             exact: bool = False) -> SplittingResult:
+             exact: bool = False,
+             comp: Optional[CompositionData] = None) -> SplittingResult:
     """Dispatch: character / dim-2 / dim-3 (reducible or irreducible).
 
+    ``comp`` is the caller's ``analyze(rep, tol)``, if it has one.
     Verifies the sum rule and every proven bound before returning.
     """
-    chern = chern_class(rep, tol, exact=exact)
     if rep.n == 1:
-        root = character_root(rep, tol, exact)
-        return _result([SplittingType.of((root,))], ["dim1.characterRoot"],
-                       chern=chern, kind="irreducible")
-    comp = analyze(rep, tol)
+        return _character_result(rep, tol, exact)
+    chern = chern_class(rep, tol, exact=exact)
+    comp = comp or analyze(rep, tol)
     if rep.n == 2:
         result = roots_dim2(rep, tol, exact, comp=comp, chern=chern)
     elif comp.kind == "irreducible":

@@ -16,22 +16,45 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import ExactModeError
-from .linalg import BranchedEigenvalue, as_matrix
+from .linalg import (BranchedEigenvalue, _roots_cubic, _roots_quadratic,
+                     as_matrix)
+
+
+def _char_poly_roots(a: np.ndarray) -> list:
+    """Roots of the characteristic polynomial of ``a`` as mpmath.mpc.
+
+    The coefficients are built from the float64 entries at the working
+    precision, where they are exact (a product of three 53-bit mantissas
+    fits), and solved in closed form by the same formulas as the float path.
+    """
+    m = [[mpmath.mpc(z) for z in row] for row in a.tolist()]
+    n = len(m)
+    if n == 1:
+        return [m[0][0]]
+    tr = sum(m[i][i] for i in range(n))
+    if n == 2:
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return _roots_quadratic(-tr, det, sqrt=mpmath.sqrt)
+    e2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
+          + m[0][0] * m[2][2] - m[0][2] * m[2][0]
+          + m[1][1] * m[2][2] - m[1][2] * m[2][1])
+    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return _roots_cubic(-tr, e2, -det, sqrt=mpmath.sqrt, cbrt=mpmath.cbrt)
 
 
 def rational_angles(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
     """Eigenvalues of ``a`` with certified rational angles and modulus 1.
 
-    Eigenvalues are computed at ``tol.exact_dps`` decimal digits; each angle
-    must match a rational with denominator <= ``tol.max_denominator`` and
-    each modulus must be 1, both to within the working precision.  Raises
-    ExactModeError otherwise.
+    Eigenvalues are the roots of the characteristic polynomial at
+    ``tol.exact_dps`` decimal digits; each angle must match a rational with
+    denominator <= ``tol.max_denominator`` and each modulus must be 1, both
+    to within the working precision.  Raises ExactModeError otherwise.
     """
     a = as_matrix(a)
     with mpmath.workdps(tol.exact_dps):
-        m = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in a.tolist()])
-        eigs = [m[0, 0]] if a.shape[0] == 1 else mpmath.eig(m, left=False,
-                                                            right=False)
+        eigs = _char_poly_roots(a)
         # The input is float64, so eigenvalues carry ~1e-15 * cond of
         # quantization error no matter the working precision.  Unique
         # rational identification only needs 1/(2 s^2) separation, so
@@ -68,32 +91,3 @@ def rational_angles(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
         else:
             merged[key] = ev
     return sorted(merged.values(), key=lambda ev: ev.exact_angle)
-
-
-def residual_mp(matrices, basis, tol: Tolerances = DEFAULT) -> float:
-    """Invariance residual of a subspace, recomputed in high precision.
-
-    Used by exact mode to re-verify borderline invariant subspaces; the
-    inputs are still floating matrices, so this tightens the arithmetic,
-    not the data.
-    """
-    with mpmath.workdps(tol.exact_dps):
-        b = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in basis.tolist()])
-        n, k = basis.shape
-        # orthonormalize columns (Gram-Schmidt)
-        for j in range(k):
-            for i in range(j):
-                coef = sum(mpmath.conj(b[r, i]) * b[r, j] for r in range(n))
-                for r in range(n):
-                    b[r, j] -= coef * b[r, i]
-            nrm = mpmath.sqrt(sum(mpmath.fabs(b[r, j]) ** 2 for r in range(n)))
-            for r in range(n):
-                b[r, j] /= nrm
-        worst = mpmath.mpf(0)
-        for m in matrices:
-            mm = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in m.tolist()])
-            mb = mm * b
-            proj = b * (b.H * mb)
-            diff = mb - proj
-            worst = max(worst, mpmath.norm(diff))
-        return float(worst)

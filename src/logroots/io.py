@@ -4,6 +4,7 @@ document construction for batch classification."""
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -12,7 +13,7 @@ from typing import Optional
 import jsonschema
 import numpy as np
 
-from .chern import ChernData, chern_class
+from .chern import ChernData, chern_bound_check, chern_class
 from .classify import SplittingResult, classify
 from .config import DEFAULT, Tolerances
 from .errors import LogrootsError, SchemaError
@@ -33,6 +34,21 @@ def input_schema() -> dict:
 
 def output_schema() -> dict:
     return _load_schema("output.schema.json")
+
+
+@functools.cache
+def _validator(name: str):
+    """One validator per schema file, its schema checked against the
+    metaschema once per process."""
+    schema = _load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _first_error(doc: dict, name: str):
+    """The error jsonschema.validate would raise for ``doc``, or None."""
+    return jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
 
 
 def _parse_entry(entry) -> complex:
@@ -56,10 +72,9 @@ def _parse_matrix(rows, n: int) -> np.ndarray:
 
 def parse_input_document(doc: dict) -> list[MonodromyRep]:
     """Validate an input document against the schema and build the reps."""
-    try:
-        jsonschema.validate(doc, input_schema())
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"input document invalid: {exc.message}") from exc
+    error = _first_error(doc, "input.schema.json")
+    if error is not None:
+        raise SchemaError(f"input document invalid: {error.message}") from error
     reps = []
     for item in doc["reps"]:
         n = item["n"]
@@ -117,7 +132,7 @@ def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     """Full per-rep output record: degree data, composition structure,
     splitting result, and quality flags."""
     comp = analyze(rep, tol)
-    result = classify(rep, tol, exact=exact)
+    result = classify(rep, tol, exact=exact, comp=comp)
     record = {
         "label": rep.label,
         "n": rep.n,
@@ -133,15 +148,28 @@ def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     }
     if comp.kind not in ("irreducible",) and comp.sequences:
         seq = comp.sequences[0]
+        sub, quotient = _sequence_parts(seq, result, tol, exact)
         record["composition"]["sequence"] = {
             "sub_dim": seq.sub_dim,
-            "sub_roots": [list(o.roots)
-                          for o in classify(seq.sub_rep, tol, exact=exact).options],
-            "quotient_roots": [list(o.roots)
-                               for o in classify(seq.quotient_rep, tol,
-                                                 exact=exact).options],
+            "sub_roots": [list(o.roots) for o in sub.options],
+            "quotient_roots": [list(o.roots) for o in quotient.options],
         }
     return record
+
+
+def _sequence_parts(seq, result: SplittingResult, tol: Tolerances,
+                    exact: bool) -> tuple[SplittingResult, SplittingResult]:
+    """Classifications of the first sequence's sub and quotient: the ones
+    ``classify`` already made, completed by the bound check that classify
+    runs on a dim-2 rep, or else made here."""
+    if not result.sequence_parts:
+        return (classify(seq.sub_rep, tol, exact=exact),
+                classify(seq.quotient_rep, tol, exact=exact))
+    for part_rep, part in zip((seq.sub_rep, seq.quotient_rep),
+                              result.sequence_parts):
+        if part_rep.n > 1:
+            chern_bound_check(part_rep, part.chern, tol)
+    return result.sequence_parts
 
 
 def _low_confidence(rep: MonodromyRep, tol: Tolerances) -> bool:
@@ -149,6 +177,11 @@ def _low_confidence(rep: MonodromyRep, tol: Tolerances) -> bool:
         if principal_log(m, tol).low_confidence:
             return True
     return False
+
+
+# numpy raises LinAlgError where a near-miss of a repeated eigenvalue leaves
+# a singular Jordan basis; a batch records it like a refusal of that rep
+_REP_ERRORS = (LogrootsError, np.linalg.LinAlgError)
 
 
 def classify_document(reps: list[MonodromyRep], tol: Tolerances = DEFAULT,
@@ -159,7 +192,7 @@ def classify_document(reps: list[MonodromyRep], tol: Tolerances = DEFAULT,
     for rep in reps:
         try:
             results.append(classify_rep_to_json(rep, tol, exact=exact))
-        except LogrootsError as exc:
+        except _REP_ERRORS as exc:
             if not keep_going:
                 raise
             results.append({
@@ -168,7 +201,9 @@ def classify_document(reps: list[MonodromyRep], tol: Tolerances = DEFAULT,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             })
     doc = {"version": VERSION, "results": results}
-    jsonschema.validate(doc, output_schema())
+    error = _first_error(doc, "output.schema.json")
+    if error is not None:
+        raise error
     return doc
 
 

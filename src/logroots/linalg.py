@@ -88,7 +88,9 @@ class BranchedEigenvalue:
 
 def _branch_data(value: complex, tol: Tolerances) -> tuple[float, float, bool]:
     r = abs(value)
-    q = cmath.phase(value) / _TWO_PI
+    # math.atan2 equals cmath.phase bit for bit, but returns 0 where a
+    # subnormal imaginary part makes cmath.phase raise OverflowError
+    q = math.atan2(value.imag, value.real) / _TWO_PI
     if q < 0.0:
         q += 1.0
     sensitive = False
@@ -99,9 +101,17 @@ def _branch_data(value: complex, tol: Tolerances) -> tuple[float, float, bool]:
     return r, q, sensitive
 
 
-def _roots_quadratic(b: complex, c: complex) -> list[complex]:
+def _cbrt(z: complex) -> complex:
+    return z ** (1.0 / 3.0)
+
+
+# The two root formulas below are generic over the number type: with the
+# default sqrt and cbrt they work on Python complex, with mpmath.sqrt and
+# mpmath.cbrt on mpmath.mpc at the working precision (see exact.py).
+
+def _roots_quadratic(b, c, sqrt=cmath.sqrt) -> list:
     # monic x^2 + b x + c, cancellation-free branch choice
-    s = cmath.sqrt(b * b - 4.0 * c)
+    s = sqrt(b * b - 4.0 * c)
     if (b.conjugate() * s).real < 0.0:
         s = -s
     t = -0.5 * (b + s)
@@ -110,21 +120,21 @@ def _roots_quadratic(b: complex, c: complex) -> list[complex]:
     return [t, c / t]
 
 
-def _roots_cubic(a: complex, b: complex, c: complex) -> list[complex]:
+def _roots_cubic(a, b, c, sqrt=cmath.sqrt, cbrt=_cbrt) -> list:
     # monic x^3 + a x^2 + b x + c via Cardano on the depressed cubic
     p = b - a * a / 3.0
     q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
     shift = -a / 3.0
     if p == 0.0 and q == 0.0:
         return [shift, shift, shift]
-    d = cmath.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
+    d = sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
     # pick the sign avoiding cancellation in -q/2 +/- d
     u3 = -q / 2.0 + d
     if abs(-q / 2.0 - d) > abs(u3):
         u3 = -q / 2.0 - d
-    u = u3 ** (1.0 / 3.0)
+    u = cbrt(u3)
     v = -p / (3.0 * u) if u != 0.0 else 0.0j
-    w = complex(-0.5, 0.5 * math.sqrt(3.0))  # primitive cube root of unity
+    w = (sqrt(-3) - 1) / 2  # primitive cube root of unity
     return [u + v + shift, u * w + v * w.conjugate() + shift,
             u * w.conjugate() + v * w + shift]
 

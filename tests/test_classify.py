@@ -17,6 +17,7 @@ from logroots import (
     roots_dim2,
     roots_dim3_irreducible,
 )
+from logroots import analyze, chern_class
 from logroots.chern import ChernData
 from logroots.errors import DimensionError
 
@@ -67,6 +68,14 @@ class TestCharacterRoot:
     def test_needs_dim_one(self):
         with pytest.raises(DimensionError):
             character_root(MonodromyRep(np.eye(2), np.eye(2)))
+
+    def test_uses_given_chern_data(self):
+        chi = character(angle(0.5), angle(0.5))
+        data = chern_class(chi)
+        assert character_root(chi, chern=data) == -1
+        # the caller's data is taken as given, not recomputed
+        other = chern_class(character(angle(0.75), angle(0.75)))
+        assert character_root(chi, chern=other) == -2
 
 
 class TestExtSplits:
@@ -171,6 +180,20 @@ class TestRootsDim3Reducible:
         assert res.determined
         assert res.options == (st(0, -1, -2),)
         assert res.composition_kind == "both"
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sequence_parts_match_classify(self, worked_example, exact):
+        res = classify(worked_example, exact=exact)
+        seq = analyze(worked_example).sequences[0]
+        sub, quotient = res.sequence_parts
+        assert sub.options == classify(seq.sub_rep, exact=exact).options
+        assert quotient.options == \
+            classify(seq.quotient_rep, exact=exact).options
+        assert sub.chern == chern_class(seq.sub_rep, exact=exact)
+
+    def test_given_composition_is_used(self, worked_example):
+        comp = analyze(worked_example)
+        assert classify(worked_example, comp=comp) == classify(worked_example)
 
     def test_planted_three_characters(self, rng):
         # upper triangular with known diagonal characters, split range

@@ -102,6 +102,23 @@ class TestOutputDocuments:
         assert rec["composition"]["sequence"]["sub_roots"] == [[0, -2]]
         assert rec["composition"]["sequence"]["quotient_roots"] == [[-1]]
 
+    def test_sequence_parts_keep_their_bound_check(self, monkeypatch):
+        # the sub and quotient records reuse classify's results, and the
+        # dim-2 part still goes through the bound check classify runs
+        import logroots.io as lio
+        checked = []
+
+        def spy(rep, data, tol):
+            checked.append(rep.n)
+            return real(rep, data, tol)
+
+        real = lio.chern_bound_check
+        monkeypatch.setattr(lio, "chern_bound_check", spy)
+        reps = parse_input_document(preset("pslz-section5"))
+        (rec,) = classify_document(reps, exact=True)["results"]
+        assert rec["composition"]["sequence"]["sub_dim"] == 2
+        assert checked == [2]
+
     def test_flags_present(self):
         reps = parse_input_document(preset("aux-character"))
         (rec,) = classify_document(reps)["results"]
@@ -131,6 +148,22 @@ class TestOutputDocuments:
         kinds = [("error" in rec) for rec in doc["results"]]
         assert kinds == [False, True]
         assert doc["results"][1]["error"]["type"] == "NonIntegerChern"
+
+    def test_keep_going_records_linalg_error(self):
+        # a triple eigenvalue split by the cubic solver leaves principal_log
+        # a singular Jordan basis; the batch records it and goes on
+        from logroots import MonodromyRep
+        w, z = np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 5)
+        bad = MonodromyRep(w * np.eye(3), z * np.eye(3), label="scalar")
+        good = MonodromyRep(np.diag([1, -1]), np.array([[-1, 1], [0, 1]]),
+                            label="good")
+        with pytest.raises(np.linalg.LinAlgError):
+            classify_document([good, bad])
+        doc = classify_document([good, bad], keep_going=True)
+        jsonschema.validate(doc, output_schema())
+        first, second = doc["results"]
+        assert first["result"]["canonical"] == ["(-1,-1)"]
+        assert second["error"]["type"] == "LinAlgError"
 
     def test_chern_document(self):
         reps = parse_input_document(preset("aux-character"))

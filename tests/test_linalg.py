@@ -4,6 +4,7 @@ Independent oracles: np.linalg.eigvals for spectra, np.linalg.matrix_rank
 for ranks, scipy.linalg.expm for the exp(log) round trip.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.linalg
 
 from logroots import DEFAULT, BranchedEigenvalue, eigenvalues, jordan_form, principal_log
 from logroots.errors import DimensionError, SingularMatrix
-from logroots.linalg import as_matrix, _rank
+from logroots.linalg import as_matrix, _branch_data, _rank
 
 from conftest import angle, random_invertible
 
@@ -86,6 +87,41 @@ class TestEigenvalues:
     def test_near_branch_cut_is_flagged(self):
         (ev,) = eigenvalues([[np.exp(-1e-12j)]])
         assert ev.branch_sensitive
+
+    def test_subnormal_imaginary_part(self):
+        # cmath.phase raises OverflowError on this input
+        (ev,) = eigenvalues([[2 + 5e-324j]])
+        assert ev.q == 0.0
+        assert ev.r == 2.0
+
+
+def _branch_data_by_phase(value, tol):
+    """Branch data as computed with cmath.phase, for comparison."""
+    q = cmath.phase(value) / TWO_PI
+    if q < 0.0:
+        q += 1.0
+    sensitive = False
+    if q < tol.eps_branch or q > 1.0 - tol.eps_branch:
+        sensitive = q != 0.0
+        q = 0.0
+    return abs(value), q, sensitive
+
+
+def test_branch_angle_bit_identical_to_phase():
+    rng = np.random.default_rng(31)
+    values = [complex(x, y) for x, y in
+              rng.uniform(-1, 1, (2000, 2)) * 10.0 ** rng.integers(-300, 300, (2000, 1))]
+    values += [complex(x, y) for x in (-2.0, -0.0, 0.0, 3.0)
+               for y in (-1.0, -0.0, 0.0, 1.0, 1e-300, -1e-310)]
+    checked = 0
+    for z in values:
+        try:
+            expected = _branch_data_by_phase(z, DEFAULT)
+        except OverflowError:
+            continue
+        assert _branch_data(z, DEFAULT) == expected
+        checked += 1
+    assert checked > 2000
 
 
 class TestBranchedEigenvalue:

@@ -193,9 +193,6 @@ def roots_dim2(rep: MonodromyRep, tol: Tolerances = DEFAULT,
             raise LogrootsError(
                 f"sum rule violated: {opt} vs c1 = {zeta} (internal fault)")
     _check_window(options, -3, 0, "dim-2 root bound")
-    for opt in options:
-        if min(opt.roots) < -2:
-            raise RootOutOfProvenRange(f"dim-2 root below -2 in {opt}")
     return _result(options, provenance, notes, chern, comp.kind,
                    sequence_parts)
 

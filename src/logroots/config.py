@@ -19,12 +19,11 @@ class Tolerances:
     # relative reconstruction / verification residual (exp/log round trips,
     # Jordan reconstruction, group relations, unitarity)
     eps_recon: float = 1e-8
-    # eigenvalue branch-data consistency
-    eps_eig: float = 1e-9
     # relative clustering radius deciding equal eigenvalues
     eps_cluster: float = 1e-7
-    # distance from the branch cut q in {0, 1} below which q snaps to 0
-    eps_branch: float = 1e-9
+    # distance from the branch cut q in {0, 1} below which q snaps to 0;
+    # the snap moves exp(log z) by up to 2*pi*eps_branch relative
+    eps_branch: float = 1e-10
     # relative residual for invariant-subspace detection
     eps_inv: float = 1e-8
     # absolute residual allowed when snapping the Chern sum to an integer

@@ -16,8 +16,37 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import ExactModeError
-from .linalg import (BranchedEigenvalue, _roots_cubic, _roots_quadratic,
-                     as_matrix)
+from .linalg import BranchedEigenvalue, as_matrix
+
+
+def _roots_quadratic(b, c) -> list:
+    # monic x^2 + b x + c, cancellation-free branch choice
+    s = mpmath.sqrt(b * b - 4.0 * c)
+    if (b.conjugate() * s).real < 0.0:
+        s = -s
+    t = -0.5 * (b + s)
+    if t == 0.0:
+        return [0.0j, -b]
+    return [t, c / t]
+
+
+def _roots_cubic(a, b, c) -> list:
+    # monic x^3 + a x^2 + b x + c via Cardano on the depressed cubic
+    p = b - a * a / 3.0
+    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    shift = -a / 3.0
+    if p == 0.0 and q == 0.0:
+        return [shift, shift, shift]
+    d = mpmath.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
+    # pick the sign avoiding cancellation in -q/2 +/- d
+    u3 = -q / 2.0 + d
+    if abs(-q / 2.0 - d) > abs(u3):
+        u3 = -q / 2.0 - d
+    u = mpmath.cbrt(u3)
+    v = -p / (3.0 * u) if u != 0.0 else 0.0j
+    w = (mpmath.sqrt(-3) - 1) / 2  # primitive cube root of unity
+    return [u + v + shift, u * w + v * w.conjugate() + shift,
+            u * w.conjugate() + v * w + shift]
 
 
 def _char_poly_roots(a: np.ndarray) -> list:
@@ -25,7 +54,7 @@ def _char_poly_roots(a: np.ndarray) -> list:
 
     The coefficients are built from the float64 entries at the working
     precision, where they are exact (a product of three 53-bit mantissas
-    fits), and solved in closed form by the same formulas as the float path.
+    fits), and solved in closed form: the quadratic formula, or Cardano.
     """
     m = [[mpmath.mpc(z) for z in row] for row in a.tolist()]
     n = len(m)
@@ -34,14 +63,14 @@ def _char_poly_roots(a: np.ndarray) -> list:
     tr = sum(m[i][i] for i in range(n))
     if n == 2:
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        return _roots_quadratic(-tr, det, sqrt=mpmath.sqrt)
+        return _roots_quadratic(-tr, det)
     e2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
           + m[0][0] * m[2][2] - m[0][2] * m[2][0]
           + m[1][1] * m[2][2] - m[1][2] * m[2][1])
     det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return _roots_cubic(-tr, e2, -det, sqrt=mpmath.sqrt, cbrt=mpmath.cbrt)
+    return _roots_cubic(-tr, e2, -det)
 
 
 def rational_angles(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:

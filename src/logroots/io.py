@@ -17,7 +17,7 @@ from .chern import ChernData, chern_bound_check, chern_class
 from .classify import SplittingResult, classify
 from .config import DEFAULT, Tolerances
 from .errors import LogrootsError, SchemaError
-from .linalg import principal_log
+from .linalg import jordan_form
 from .rep import MonodromyRep, analyze
 
 VERSION = "1"
@@ -173,14 +173,12 @@ def _sequence_parts(seq, result: SplittingResult, tol: Tolerances,
 
 
 def _low_confidence(rep: MonodromyRep, tol: Tolerances) -> bool:
-    for m in (rep.m0, rep.m1, rep.m_infinity):
-        if principal_log(m, tol).low_confidence:
-            return True
-    return False
+    return any(jordan_form(m, tol).low_confidence
+               for m in (rep.m0, rep.m1, rep.m_infinity))
 
 
-# numpy raises LinAlgError where a near-miss of a repeated eigenvalue leaves
-# a singular Jordan basis; a batch records it like a refusal of that rep
+# numpy raises LinAlgError where LAPACK fails to converge or a change of
+# basis comes out singular; a batch records it like a refusal of that rep
 _REP_ERRORS = (LogrootsError, np.linalg.LinAlgError)
 
 

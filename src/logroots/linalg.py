@@ -1,15 +1,14 @@
 """Complex dense linear algebra for matrices of dimension <= 3.
 
-Eigenvalues are computed by closed-form quadratic/cubic formulas with one
-Newton polishing step; the dimension cap makes general QR iteration
-unnecessary and keeps the results deterministic.  Each eigenvalue carries
-branch data (r, q) with value = r * exp(2*pi*i*q) and q in [0, 1), which is
-the branch convention used throughout the package.
+Eigenvalues come from LAPACK (``numpy.linalg.eigvals``); values within
+``eps_cluster`` of each other are merged into one eigenvalue whose value is
+the cluster mean.  Each eigenvalue carries branch data (r, q) with
+value = r * exp(2*pi*i*q) and q in [0, 1), which is the branch convention
+used throughout the package.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -101,63 +100,6 @@ def _branch_data(value: complex, tol: Tolerances) -> tuple[float, float, bool]:
     return r, q, sensitive
 
 
-def _cbrt(z: complex) -> complex:
-    return z ** (1.0 / 3.0)
-
-
-# The two root formulas below are generic over the number type: with the
-# default sqrt and cbrt they work on Python complex, with mpmath.sqrt and
-# mpmath.cbrt on mpmath.mpc at the working precision (see exact.py).
-
-def _roots_quadratic(b, c, sqrt=cmath.sqrt) -> list:
-    # monic x^2 + b x + c, cancellation-free branch choice
-    s = sqrt(b * b - 4.0 * c)
-    if (b.conjugate() * s).real < 0.0:
-        s = -s
-    t = -0.5 * (b + s)
-    if t == 0.0:
-        return [0.0j, -b]
-    return [t, c / t]
-
-
-def _roots_cubic(a, b, c, sqrt=cmath.sqrt, cbrt=_cbrt) -> list:
-    # monic x^3 + a x^2 + b x + c via Cardano on the depressed cubic
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    if p == 0.0 and q == 0.0:
-        return [shift, shift, shift]
-    d = sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    # pick the sign avoiding cancellation in -q/2 +/- d
-    u3 = -q / 2.0 + d
-    if abs(-q / 2.0 - d) > abs(u3):
-        u3 = -q / 2.0 - d
-    u = cbrt(u3)
-    v = -p / (3.0 * u) if u != 0.0 else 0.0j
-    w = (sqrt(-3) - 1) / 2  # primitive cube root of unity
-    return [u + v + shift, u * w + v * w.conjugate() + shift,
-            u * w.conjugate() + v * w + shift]
-
-
-def _char_roots(a: np.ndarray) -> list[complex]:
-    n = a.shape[0]
-    if n == 1:
-        return [complex(a[0, 0])]
-    tr = complex(np.trace(a))
-    det = _det(a)
-    if n == 2:
-        return _roots_quadratic(-tr, det)
-    e2 = 0.5 * (tr * tr - complex(np.trace(a @ a)))
-    roots = _roots_cubic(-tr, e2, -det)
-    # one Newton step on the characteristic polynomial
-    polished = []
-    for z in roots:
-        pv = z**3 - tr * z**2 + e2 * z - det
-        dv = 3.0 * z**2 - 2.0 * tr * z + e2
-        polished.append(z - pv / dv if abs(dv) > 1e-14 * max(1.0, abs(z)) ** 2 else z)
-    return polished
-
-
 def eigenvalues(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
     """Eigenvalues of an invertible matrix with principal-branch data.
 
@@ -167,17 +109,10 @@ def eigenvalues(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
     """
     a = as_matrix(a)
     _check_invertible(a, tol)
-    raw = _char_roots(a)
-    if a.shape[0] == 2:
-        # Newton polish for n == 2 as well
-        tr = complex(np.trace(a))
-        det = _det(a)
-        polished = []
-        for z in raw:
-            pv = z * z - tr * z + det
-            dv = 2.0 * z - tr
-            polished.append(z - pv / dv if abs(dv) > 1e-14 * max(1.0, abs(z)) else z)
-        raw = polished
+    if a.shape[0] == 1:
+        raw = [complex(a[0, 0])]
+    else:
+        raw = np.linalg.eigvals(a).tolist()
     radius = max(abs(z) for z in raw)
     cut = tol.eps_cluster * radius
     clusters: list[list[complex]] = []
@@ -188,21 +123,11 @@ def eigenvalues(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
                 break
         else:
             clusters.append([z])
-    n = a.shape[0]
-    tr = complex(np.trace(a))
     out = []
     for cl in clusters:
+        # the sum of a cluster is the trace of A on its invariant subspace,
+        # well-conditioned even where single members are not
         value = sum(cl) / len(cl)
-        # A root of multiplicity k is only located to O(eps^(1/k)) by the
-        # solver, which would defeat the rank threshold downstream.  Multiple
-        # roots are stationary points of the characteristic polynomial, so
-        # recompute them from its derivative in closed form.
-        if len(cl) == n and n > 1:
-            value = tr / n
-        elif len(cl) == 2 and n == 3:
-            e2 = 0.5 * (tr * tr - complex(np.trace(a @ a)))
-            stationary = _roots_quadratic(-2.0 * tr / 3.0, e2 / 3.0)
-            value = min(stationary, key=lambda z: abs(z - value))
         r, q, sensitive = _branch_data(value, tol)
         out.append(BranchedEigenvalue(value=value, r=r, q=q,
                                       multiplicity=len(cl),
@@ -370,7 +295,7 @@ def principal_log(a, tol: Tolerances = DEFAULT) -> PrincipalLog:
         logj[pos:pos + size, pos:pos + size] = _log_jordan_block(ev, size)
         pos += size
     l = jd.P @ logj @ np.linalg.inv(jd.P)
-    evs = eigenvalues(a, tol)
+    evs = tuple(dict.fromkeys(ev for ev, _ in jd.blocks))
     trace = sum(ev.log() * ev.multiplicity for ev in evs)
-    return PrincipalLog(L=l, eigenvalues=tuple(evs), trace_of_log=trace,
+    return PrincipalLog(L=l, eigenvalues=evs, trace_of_log=trace,
                         low_confidence=jd.low_confidence)

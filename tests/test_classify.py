@@ -264,3 +264,13 @@ class TestClassifyDispatch:
             assert res.chern is not None
             assert res.provenance
             assert res.minimal_weight_range[0] <= res.minimal_weight_range[1]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_scalar_triple_eigenvalue_is_decomposable(exact):
+    # two scalar matrices: every line is invariant, the spectrum of each is
+    # one triple eigenvalue; c1 = -3 * (1/3 + 1/5 + 7/15) = -3
+    w, z = angle(1 / 3), angle(1 / 5)
+    res = classify(MonodromyRep(w * np.eye(3), z * np.eye(3)), exact=exact)
+    assert res.composition_kind == "decomposable"
+    assert res.options == (st(-1, -1, -1),)

@@ -149,14 +149,22 @@ class TestOutputDocuments:
         assert kinds == [False, True]
         assert doc["results"][1]["error"]["type"] == "NonIntegerChern"
 
-    def test_keep_going_records_linalg_error(self):
-        # a triple eigenvalue split by the cubic solver leaves principal_log
-        # a singular Jordan basis; the batch records it and goes on
+    def test_keep_going_records_linalg_error(self, monkeypatch):
+        # numpy's LinAlgError in one rep is recorded and the batch goes on
+        import logroots.io as lio
         from logroots import MonodromyRep
-        w, z = np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 5)
-        bad = MonodromyRep(w * np.eye(3), z * np.eye(3), label="scalar")
         good = MonodromyRep(np.diag([1, -1]), np.array([[-1, 1], [0, 1]]),
                             label="good")
+        bad = MonodromyRep(np.diag([1j, 1, -1]), np.diag([-1j, 1, -1]),
+                           label="bad")
+        jordan_form = lio.jordan_form
+
+        def failing_for_dim3(m, tol):
+            if m.shape[0] == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return jordan_form(m, tol)
+
+        monkeypatch.setattr(lio, "jordan_form", failing_for_dim3)
         with pytest.raises(np.linalg.LinAlgError):
             classify_document([good, bad])
         doc = classify_document([good, bad], keep_going=True)

@@ -88,6 +88,14 @@ class TestEigenvalues:
         (ev,) = eigenvalues([[np.exp(-1e-12j)]])
         assert ev.branch_sensitive
 
+    def test_close_simple_eigenvalues(self):
+        # 1e-6 apart, ten times the clustering radius: three simple values
+        truth = [1.0, 1.0 + 1e-6, 1.0 + 2e-6]
+        evs = eigenvalues(np.diag(truth))
+        assert [ev.multiplicity for ev in evs] == [1, 1, 1]
+        got = sorted((ev.value for ev in evs), key=lambda z: z.real)
+        assert np.max(np.abs(np.array(got) - truth)) < 1e-12
+
     def test_subnormal_imaginary_part(self):
         # cmath.phase raises OverflowError on this input
         (ev,) = eigenvalues([[2 + 5e-324j]])

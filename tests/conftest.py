@@ -24,6 +24,21 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def minimal_doc(**overrides):
+    """A valid one-rep input document, top-level keys overridden."""
+    doc = {
+        "version": "1",
+        "reps": [{
+            "label": "t",
+            "n": 1,
+            "m0": [[[-1.0, 0.0]]],
+            "m1": [[{"angle": "1/2"}]],
+        }],
+    }
+    doc.update(overrides)
+    return doc
+
+
 @pytest.fixture
 def worked_example():
     """The reducible-indecomposable 3-dim rep with roots (0, -1, -2)."""

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, tolerance plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,12 +44,45 @@ class TestClassify:
         path.write_text(json.dumps({"version": "1", "reps": []}))
         assert main(["classify", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "entry", ['{"angle": "1/0"}', "[NaN, 0]", "[1e400, 0]",
+                  f"[{10 ** 400}, 0]"],
+        ids=["zero-denominator", "nan", "infinity", "huge-integer"])
+    def test_unreadable_entry_is_schema_error(self, entry, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": "1", "reps": [{"n": 1, '
+                        f'"m0": [[{entry}]], "m1": [[[1.0, 0.0]]]}}]}}')
+        assert main(["classify", str(path)]) == 2
+        assert "$.reps[0].m0[0][0]" in capsys.readouterr().err
+
     def test_singular_matrix_is_computation_error(self, tmp_path, capsys):
         doc = {"version": "1", "reps": [{
             "n": 1, "m0": [[[0.0, 0.0]]], "m1": [[[1.0, 0.0]]]}]}
         path = tmp_path / "sing.json"
         path.write_text(json.dumps(doc))
         assert main(["classify", str(path)]) == 3
+
+
+class TestRuntimeDependencies:
+    def test_classify_runs_without_jsonschema(self, tmp_path):
+        # jsonschema is a test dependency only; block its import and run
+        # the command line end to end in a fresh interpreter
+        script = (
+            "import sys\n"
+            "sys.modules['jsonschema'] = None\n"
+            "from logroots.cli import main\n"
+            "path = sys.argv[1]\n"
+            "assert main(['example', 'pslz-section5', '--out', path]) == 0\n"
+            "sys.exit(main(['classify', path]))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "in.json")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        (rec,) = json.loads(proc.stdout)["results"]
+        assert rec["result"]["canonical"] == ["(0,-1,-2)"]
 
 
 class TestChern:

@@ -17,21 +17,7 @@ from logroots.io import (
     parse_input_document,
 )
 
-from conftest import angle
-
-
-def minimal_doc(**overrides):
-    doc = {
-        "version": "1",
-        "reps": [{
-            "label": "t",
-            "n": 1,
-            "m0": [[[-1.0, 0.0]]],
-            "m1": [[{"angle": "1/2"}]],
-        }],
-    }
-    doc.update(overrides)
-    return doc
+from conftest import angle, minimal_doc
 
 
 class TestInputParsing:
@@ -73,6 +59,48 @@ class TestInputParsing:
         doc = minimal_doc()
         doc["reps"][0]["m1"] = [[{"angle": "0.5"}]]
         with pytest.raises(SchemaError):
+            parse_input_document(doc)
+
+    def test_error_names_json_path(self):
+        doc = minimal_doc()
+        doc["reps"][0]["m1"] = [[{"angle": "1/2", "modulus": 0}]]
+        with pytest.raises(SchemaError, match=r"\$\.reps\[0\]\.m1\[0\]\[0\]"):
+            parse_input_document(doc)
+
+    # inputs the schema admits but no matrix can be built from
+    def test_zero_denominator_angle_rejected(self):
+        doc = minimal_doc()
+        doc["reps"][0]["m1"] = [[{"angle": "1/0"}]]
+        with pytest.raises(SchemaError, match="zero denominator"):
+            parse_input_document(doc)
+
+    def test_nan_entry_rejected(self):
+        doc = json.loads(json.dumps(minimal_doc()).replace("-1.0", "NaN"))
+        with pytest.raises(SchemaError, match="finite"):
+            parse_input_document(doc)
+
+    def test_infinite_entry_rejected(self):
+        doc = json.loads(json.dumps(minimal_doc()).replace("-1.0", "1e400"))
+        with pytest.raises(SchemaError, match="finite"):
+            parse_input_document(doc)
+
+    def test_integer_too_large_for_float_rejected(self):
+        doc = minimal_doc()
+        doc["reps"][0]["m0"] = [[[10 ** 400, 0]]]
+        with pytest.raises(SchemaError, match="too large"):
+            parse_input_document(doc)
+
+    def test_ragged_matrix_rejected(self):
+        doc = minimal_doc()
+        doc["reps"][0].update(n=2, m0=[[[1.0, 0.0], [0.0, 0.0]],
+                                       [[1.0, 0.0]]])
+        with pytest.raises(SchemaError, match="shape"):
+            parse_input_document(doc)
+
+    def test_schema_fault_reported_after_singular_rep(self):
+        singular = dict(minimal_doc()["reps"][0], m0=[[[0.0, 0.0]]])
+        doc = minimal_doc(reps=[singular, {"n": 1}])
+        with pytest.raises(SchemaError, match=r"reps\[1\]"):
             parse_input_document(doc)
 
     def test_load_from_file(self, tmp_path):
@@ -171,6 +199,25 @@ class TestOutputDocuments:
         jsonschema.validate(doc, output_schema())
         first, second = doc["results"]
         assert first["result"]["canonical"] == ["(-1,-1)"]
+        assert second["error"]["type"] == "LinAlgError"
+
+    def test_chern_document_records_linalg_error(self, monkeypatch):
+        # chern_document records the same per-rep errors as classify_document
+        import logroots.io as lio
+        reps = parse_input_document(preset("aux-character")) \
+            + parse_input_document(preset("pslz-section5"))
+        chern_class = lio.chern_class
+
+        def failing_for_dim3(rep, tol, exact=False):
+            if rep.n == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return chern_class(rep, tol, exact=exact)
+
+        monkeypatch.setattr(lio, "chern_class", failing_for_dim3)
+        with pytest.raises(np.linalg.LinAlgError):
+            chern_document(reps)
+        first, second = chern_document(reps, keep_going=True)["results"]
+        assert first["chern"]["c1"] == -1
         assert second["error"]["type"] == "LinAlgError"
 
     def test_chern_document(self):

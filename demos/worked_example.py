@@ -4,13 +4,16 @@ The representation factors through the projective modular group: the
 diagonal generator has sixth-root-of-unity angles and the other generator
 is an involution.  It is reducible but indecomposable, and every route
 through its invariant-subspace structure pins the same splitting type.
+Its three local spectra are certified once; each sub and quotient
+inherits its spectra from them.
 
 Run:  python3 demos/worked_example.py
 """
 
 import numpy as np
 
-from logroots import analyze, chern_class, classify, parse_input_document, preset
+from logroots import (analyze, chern_class, classify, inherit_spectra,
+                      local_spectra, parse_input_document, preset)
 
 rep = parse_input_document(preset("pslz-section5"))[0]
 
@@ -18,22 +21,23 @@ print("generator images:")
 print(np.round(rep.m0, 4))
 print(np.round(rep.m1, 4))
 
-data = chern_class(rep, exact=True)
+spectra = local_spectra(rep, exact=True)
+data = chern_class(rep, spectra=spectra)
 print("\ndegree of the extended bundle:")
 for p in data.per_pole:
     print(f"  pole {p.pole:>3}: angle sum {p.exact_q_sum}")
 print(f"  c1 = {data.c1}")
 
-comp = analyze(rep)
+comp = analyze(rep, spectra=spectra)
 print(f"\ncomposition structure: {comp.kind} "
       f"({len(comp.sequences)} short exact sequences)")
 for seq in comp.sequences:
-    sub = classify(seq.sub_rep, exact=True)
-    quot = classify(seq.quotient_rep, exact=True)
+    sub, quot = (classify(part, spectra=inherit_spectra(spectra, part))
+                 for part in (seq.sub_rep, seq.quotient_rep))
     print(f"  sub dim {seq.sub_dim}: sub roots {sub.options[0]}, "
           f"quotient roots {quot.options[0]}")
 
-res = classify(rep, exact=True)
+res = classify(rep, spectra=spectra)
 print(f"\nsplitting type: {res.options[0]}  [{res.status}]")
 print("every sequence's candidate set intersects to the same answer,")
 print("so the two-candidate ambiguity of each route disappears.")

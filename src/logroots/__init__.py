@@ -2,24 +2,21 @@
 line, computed from a pair of monodromy matrices at the punctures 0 and 1.
 
 The public surface mirrors the pipeline: eigenvalue/branch bookkeeping
-(:mod:`logroots.linalg`), composition structure (:mod:`logroots.rep`),
-the degree of the extension (:mod:`logroots.chern`), the splitting type
-itself (:mod:`logroots.classify`), and randomized cross-checks
-(:mod:`logroots.oracle`).
+(:mod:`logroots.linalg`), each rep's local spectra (computed once and
+inherited by its sub, quotient and summand reps) and composition structure
+(:mod:`logroots.rep`), the degree of the extension (:mod:`logroots.chern`),
+the splitting type itself (:mod:`logroots.classify`), and randomized
+cross-checks (:mod:`logroots.oracle`).
 """
 
 from .chern import ChernData, chern_bound_check, chern_class, unitarity_test
 from .classify import (
-    CohomologyDims,
     SplittingResult,
     SplittingType,
     candidate_tree,
     character_root,
     classify,
     ext_splits,
-    roots_dim2,
-    roots_dim3_irreducible,
-    roots_dim3_reducible,
 )
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -63,12 +60,15 @@ from .presets import PRESETS, preset
 from .rep import (
     CompositionData,
     InvariantSubspace,
+    LocalSpectra,
     MonodromyRep,
     analyze,
     build_from_pslz,
     character,
     common_invariant_subspaces,
+    inherit_spectra,
     is_irreducible,
+    local_spectra,
     trivial,
 )
 
@@ -78,7 +78,6 @@ __all__ = [
     "AmbiguousPart",
     "BranchedEigenvalue",
     "ChernData",
-    "CohomologyDims",
     "CompositionData",
     "DEFAULT",
     "DimensionError",
@@ -87,6 +86,7 @@ __all__ = [
     "InconsistentCertificate",
     "InvariantSubspace",
     "JordanDecomposition",
+    "LocalSpectra",
     "LogrootsError",
     "MonodromyRep",
     "NonIntegerChern",
@@ -117,15 +117,14 @@ __all__ = [
     "direct_sum_oracle",
     "eigenvalues",
     "ext_splits",
+    "inherit_spectra",
     "is_irreducible",
     "jordan_form",
     "load_input",
+    "local_spectra",
     "parse_input_document",
     "preset",
     "principal_log",
-    "roots_dim2",
-    "roots_dim3_irreducible",
-    "roots_dim3_reducible",
     "sample_and_check",
     "sample_rep",
     "sample_reps",

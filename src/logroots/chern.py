@@ -4,7 +4,9 @@ The degree is minus the sum of the residue traces over the three poles
 (0, 1, infinity), and each residue is the principal logarithm of the local
 monodromy, so the trace at a pole is sum(ln r + 2*pi*i*q) over that
 matrix's spectrum.  The ln-r parts cancel across the poles (determinant
-coherence) and the q parts sum to an integer, which is -c1.
+coherence) and the q parts sum to an integer, which is -c1.  The spectra
+are the rep's one spectral record (:func:`logroots.rep.local_spectra`);
+a sub, quotient or summand reads the record it inherited from its parent.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import NonIntegerChern, ProvenBoundViolated
-from .exact import rational_angles
-from .linalg import BranchedEigenvalue, eigenvalues
-from .rep import MonodromyRep, is_irreducible
-
-POLES = ("0", "1", "inf")
+from .linalg import BranchedEigenvalue
+from .rep import (POLES, LocalSpectra, MonodromyRep, is_irreducible,
+                  local_spectra)
 
 
 @dataclass(frozen=True)
@@ -43,40 +43,30 @@ class ChernData:
     exact: bool = False
 
 
-def _pole_spectra(rep: MonodromyRep, tol: Tolerances,
-                  exact: bool) -> list[list[BranchedEigenvalue]]:
-    """Branched spectra of the local monodromies at 0, 1, infinity.
-
-    The spectrum at infinity is the inverse-mapped spectrum of M0*M1, so
-    branch wrapping (q -> 1 - q for q > 0) is applied exactly.
-    """
-    eig = rational_angles if exact else eigenvalues
-    s0 = eig(rep.m0, tol)
-    s1 = eig(rep.m1, tol)
-    sp = eig(rep.m0 @ rep.m1, tol)
-    s_inf = [ev.inverse() for ev in sp]
-    return [s0, s1, s_inf]
-
-
 def _expand(spectrum) -> list[BranchedEigenvalue]:
     return [ev for ev in spectrum for _ in range(ev.multiplicity)]
 
 
 def chern_class(rep: MonodromyRep, tol: Tolerances = DEFAULT,
-                exact: bool = False) -> ChernData:
+                exact: bool = False,
+                spectra: Optional[LocalSpectra] = None) -> ChernData:
     """First Chern class via the residue-trace formula.
 
-    Raises NonIntegerChern when the branch-angle sum misses every integer by
+    ``spectra`` is the rep's local spectra, computed here in the mode
+    ``exact`` when not given; a given record's own mode decides.  Raises
+    NonIntegerChern when the branch-angle sum misses every integer by
     more than ``tol.eps_int`` (floating mode) or is a genuine non-integer
     rational (exact mode).
     """
-    spectra = _pole_spectra(rep, tol, exact)
+    if spectra is None:
+        spectra = local_spectra(rep, tol, exact)
+    exact = spectra.exact
     per_pole = []
     q_total = 0.0
     exact_total = Fraction(0) if exact else None
     ln_total = 0.0
     branch_sensitive = False
-    for pole, spectrum in zip(POLES, spectra):
+    for pole, spectrum in zip(POLES, spectra.poles):
         trace = sum(ev.log() * ev.multiplicity for ev in spectrum)
         q_sum = float(sum(ev.q * ev.multiplicity for ev in spectrum))
         exact_q = None
@@ -106,8 +96,9 @@ def chern_class(rep: MonodromyRep, tol: Tolerances = DEFAULT,
 
     # diagnostics: per-eigenvalue wraps at infinity (q + q_inv is 0 or 1) and
     # the determinant wrap between the finite poles and the product spectrum
-    prod_q = [1.0 - ev.q if ev.q > 0.0 else 0.0 for ev in _expand(spectra[2])]
-    wraps = tuple(1 if ev.q > 0.0 else 0 for ev in _expand(spectra[2]))
+    prod_q = [1.0 - ev.q if ev.q > 0.0 else 0.0
+              for ev in _expand(spectra.poles[2])]
+    wraps = tuple(1 if ev.q > 0.0 else 0 for ev in _expand(spectra.poles[2]))
     finite_q = sum(p.q_sum for p in per_pole[:2])
     det_wrap = round(finite_q - sum(prod_q))
     return ChernData(c1=c1, per_pole=tuple(per_pole), wrap_integers=wraps,
@@ -133,11 +124,14 @@ def unitarity_test(rep: MonodromyRep, tol: Tolerances = DEFAULT) -> bool:
 
 
 def chern_bound_check(rep: MonodromyRep, data: ChernData,
-                      tol: Tolerances = DEFAULT) -> list[BoundReport]:
+                      tol: Tolerances = DEFAULT,
+                      spectra: Optional[LocalSpectra] = None
+                      ) -> list[BoundReport]:
     """Check every proven degree bound that applies to this rep.
 
     For n = 2 the bound 0 >= c1 >= -4 is a theorem, so a violation is a hard
     error; the n = 3 window -6 < c1 <= 0 is only reported as conjectural.
+    The irreducibility a unitary dim-2 rep is tested for reads ``spectra``.
     """
     reports = []
     c1 = data.c1
@@ -147,7 +141,7 @@ def chern_bound_check(rep: MonodromyRep, data: ChernData,
                                    holds, conjectural=False))
         if not holds:
             raise ProvenBoundViolated(f"dim-2 degree bound failed: c1 = {c1}")
-        if unitarity_test(rep, tol) and is_irreducible(rep, tol):
+        if unitarity_test(rep, tol) and is_irreducible(rep, tol, spectra):
             strict = 0 > c1 >= -4
             reports.append(BoundReport("strict-bound-unitary-dim2",
                                        "0 > c1 >= -4 (irreducible unitary)",

@@ -15,8 +15,9 @@ class DimensionError(LogrootsError):
 
 class InconsistentCertificate(LogrootsError):
     """The subspace search and the sigma certificate disagree about
-    irreducibility.  Usually a sign of a borderline input; rerun with exact
-    rational-angle data."""
+    irreducibility, or a sub, quotient or summand has a block eigenvalue
+    that matches no parent eigenvalue, or several.  Usually a sign of a
+    borderline input; rerun with exact rational-angle data."""
 
 
 class RelationViolated(LogrootsError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import ExactModeError
-from .linalg import BranchedEigenvalue, as_matrix
+from .linalg import BranchedEigenvalue, as_matrix, _check_invertible
 
 
 def _roots_quadratic(b, c) -> list:
@@ -79,9 +79,11 @@ def rational_angles(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
     Eigenvalues are the roots of the characteristic polynomial at
     ``tol.exact_dps`` decimal digits; each angle must match a rational with
     denominator <= ``tol.max_denominator`` and each modulus must be 1, both
-    to within the working precision.  Raises ExactModeError otherwise.
+    to within the working precision.  Raises ExactModeError otherwise, and
+    SingularMatrix for a matrix singular within ``tol.eps_sing``.
     """
     a = as_matrix(a)
+    _check_invertible(a, tol)
     with mpmath.workdps(tol.exact_dps):
         eigs = _char_poly_roots(a)
         # The input is float64, so eigenvalues carry ~1e-15 * cond of

@@ -1,6 +1,9 @@
 """Stable JSON interchange: input parsing, which checks each document
 against ``schema/input.schema.json`` in the same pass, and output document
-construction for batch classification.
+construction for batch classification.  Each rep's record is built from
+one ``classify`` result: its degree, composition, roots and the roots of
+its first sequence's sub and quotient (or of its summands), which
+``classify`` classified from spectra inherited from the rep's own.
 
 The schema files are the published contract.  Input is checked here
 without a schema library: the parser accepts and rejects exactly what
@@ -23,12 +26,12 @@ from importlib import resources
 
 import numpy as np
 
-from .chern import ChernData, chern_bound_check, chern_class
+from .chern import ChernData, chern_class
 from .classify import SplittingResult, classify
 from .config import DEFAULT, Tolerances
 from .errors import LogrootsError, SchemaError
 from .linalg import jordan_form
-from .rep import MonodromyRep, analyze
+from .rep import MonodromyRep
 
 VERSION = "1"
 
@@ -197,45 +200,28 @@ def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
                          exact: bool = False) -> dict:
     """Full per-rep output record: degree data, composition structure,
     splitting result, and quality flags."""
-    comp = analyze(rep, tol)
-    result = classify(rep, tol, exact=exact, comp=comp)
+    result = classify(rep, tol, exact=exact)
     record = {
         "label": rep.label,
         "n": rep.n,
         "chern": chern_to_json(result.chern),
-        "composition": {"kind": comp.kind},
+        "composition": {"kind": result.composition_kind},
         "result": result_to_json(result),
         "flags": {
             "branch_sensitive": result.chern.branch_sensitive,
             "low_confidence": _low_confidence(rep, tol),
-            "non_isolated": comp.non_isolated,
+            "non_isolated": result.non_isolated,
             "conjectural_notes": [n for n in result.notes if "conjectur" in n],
         },
     }
-    if comp.kind not in ("irreducible",) and comp.sequences:
-        seq = comp.sequences[0]
-        sub, quotient = _sequence_parts(seq, result, tol, exact)
+    if result.parts:
+        sub, quotient = result.parts
         record["composition"]["sequence"] = {
-            "sub_dim": seq.sub_dim,
+            "sub_dim": sub.options[0].dim,
             "sub_roots": [list(o.roots) for o in sub.options],
             "quotient_roots": [list(o.roots) for o in quotient.options],
         }
     return record
-
-
-def _sequence_parts(seq, result: SplittingResult, tol: Tolerances,
-                    exact: bool) -> tuple[SplittingResult, SplittingResult]:
-    """Classifications of the first sequence's sub and quotient: the ones
-    ``classify`` already made, completed by the bound check that classify
-    runs on a dim-2 rep, or else made here."""
-    if not result.sequence_parts:
-        return (classify(seq.sub_rep, tol, exact=exact),
-                classify(seq.quotient_rep, tol, exact=exact))
-    for part_rep, part in zip((seq.sub_rep, seq.quotient_rep),
-                              result.sequence_parts):
-        if part_rep.n > 1:
-            chern_bound_check(part_rep, part.chern, tol)
-    return result.sequence_parts
 
 
 def _low_confidence(rep: MonodromyRep, tol: Tolerances) -> bool:

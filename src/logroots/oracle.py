@@ -19,7 +19,7 @@ from .chern import chern_class, unitarity_test
 from .classify import SplittingType, classify
 from .config import DEFAULT, Tolerances
 from .errors import AmbiguousPart, LogrootsError, NonIntegerChern
-from .rep import MonodromyRep, analyze, is_irreducible
+from .rep import MonodromyRep, is_irreducible
 
 ENSEMBLES = ("generic", "unitary", "rationalAngle", "blockUpperTriangular")
 

@@ -1,15 +1,21 @@
 """Monodromy representations of the thrice-punctured line as matrix pairs.
 
 A representation is the pair (M0, M1) of images of the two free generators;
-the loop around infinity maps to (M0*M1)^{-1}.  This module detects common
-invariant subspaces, irreducibility and decomposability, and extracts the
-sub/quotient representations of a short exact sequence.
+the loop around infinity maps to (M0*M1)^{-1}.  This module computes the
+branched spectra of the three local monodromies once per rep
+(:func:`local_spectra`), detects common invariant subspaces,
+irreducibility and decomposability from those spectra, and extracts the
+sub/quotient representations of a short exact sequence.  A sub, quotient
+or summand takes its spectra from its parent's (:func:`inherit_spectra`),
+since its characteristic polynomials divide the parent's; a block
+eigenvalue that matches no parent eigenvalue, or several, raises
+InconsistentCertificate.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -17,7 +23,10 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import (DimensionError, InconsistentCertificate,
                      RelationViolated, SingularMatrix)
-from .linalg import as_matrix, eigenvalues, _det
+from .exact import rational_angles
+from .linalg import BranchedEigenvalue, as_matrix, eigenvalues, _det
+
+POLES = ("0", "1", "inf")
 
 
 @dataclass(frozen=True)
@@ -33,8 +42,10 @@ class MonodromyRep:
         m1 = as_matrix(self.m1)
         if m0.shape != m1.shape:
             raise DimensionError("m0 and m1 must have the same dimension")
+        # a nearly singular matrix is judged against the run's eps_sing
+        # where its spectrum is computed
         for name, m in (("m0", m0), ("m1", m1)):
-            if abs(_det(m)) <= DEFAULT.eps_sing:
+            if _det(m) == 0:
                 raise SingularMatrix(f"{name} is singular")
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "m1", m1)
@@ -56,6 +67,72 @@ def character(v0: complex, v1: complex, label: Optional[str] = None) -> Monodrom
 
 def trivial(n: int, label: Optional[str] = None) -> MonodromyRep:
     return MonodromyRep(np.eye(n), np.eye(n), label=label)
+
+
+@dataclass(frozen=True)
+class LocalSpectra:
+    """Branched spectra of the local monodromies at 0, 1 and infinity.
+
+    The spectrum at infinity is the inverse-mapped spectrum of M0*M1, so
+    branch wrapping (q -> 1 - q for q > 0) is applied exactly.  In exact
+    mode every eigenvalue carries its certified rational angle.
+    """
+
+    poles: tuple[tuple[BranchedEigenvalue, ...], ...]  # at 0, 1, infinity
+    exact: bool = False
+
+
+def local_spectra(rep: MonodromyRep, tol: Tolerances = DEFAULT,
+                  exact: bool = False) -> LocalSpectra:
+    """The rep's three local spectra: from LAPACK, or certified in exact
+    mode.  Both routes refuse a matrix that is singular within
+    ``tol.eps_sing``."""
+    eig = rational_angles if exact else eigenvalues
+    s0 = tuple(eig(rep.m0, tol))
+    s1 = tuple(eig(rep.m1, tol))
+    s_inf = tuple(ev.inverse() for ev in eig(rep.m0 @ rep.m1, tol))
+    return LocalSpectra((s0, s1, s_inf), exact)
+
+
+def _match(values, spectrum: tuple[BranchedEigenvalue, ...],
+           tol: Tolerances, pole: str) -> tuple[BranchedEigenvalue, ...]:
+    """The sub-multiset of ``spectrum`` that ``values`` match one to one."""
+    radius = tol.eps_cluster * max(abs(ev.value) for ev in spectrum)
+    counts = [0] * len(spectrum)
+    for z in values:
+        near = [i for i, ev in enumerate(spectrum)
+                if abs(z - ev.value) <= radius]
+        if len(near) != 1:
+            raise InconsistentCertificate(
+                f"block eigenvalue {complex(z):.6g} at pole {pole} is within "
+                f"{radius:.1e} of {len(near)} parent eigenvalues, not one")
+        if counts[near[0]] == spectrum[near[0]].multiplicity:
+            raise InconsistentCertificate(
+                f"block eigenvalue {complex(z):.6g} at pole {pole} exceeds "
+                "the multiplicity of its parent eigenvalue")
+        counts[near[0]] += 1
+    return tuple(replace(ev, multiplicity=k)
+                 for ev, k in zip(spectrum, counts) if k)
+
+
+def inherit_spectra(parent: LocalSpectra, part: MonodromyRep,
+                    tol: Tolerances = DEFAULT) -> LocalSpectra:
+    """Local spectra of a sub, quotient or summand rep, taken from its
+    parent's.
+
+    Each eigenvalue of the part's blocks (from LAPACK, in both modes) is
+    matched to the one parent eigenvalue within ``tol.eps_cluster`` of it,
+    relative to the parent's spectral radius at that pole, and no parent
+    eigenvalue is matched more often than its multiplicity.  The part
+    takes the parent's branch data, certified angles included.  Raises
+    InconsistentCertificate where a match is missing or not unique.
+    """
+    blocks = (np.linalg.eigvals(part.m0), np.linalg.eigvals(part.m1),
+              1.0 / np.linalg.eigvals(part.m0 @ part.m1))
+    return LocalSpectra(tuple(_match(values, spectrum, tol, pole)
+                              for values, spectrum, pole
+                              in zip(blocks, parent.poles, POLES)),
+                        parent.exact)
 
 
 @dataclass(frozen=True)
@@ -86,9 +163,10 @@ def _subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - np.min(s) ** 2)))
 
 
-def _common_lines(m0: np.ndarray, m1: np.ndarray,
+def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
                   tol: Tolerances) -> list[InvariantSubspace]:
-    """Common eigenvectors of (m0, m1), searched over eigenvalue pairs."""
+    """Common eigenvectors of (m0, m1), searched over the pairs of their
+    eigenvalues in ``spectra`` (a transpose has the same spectrum)."""
     n = m0.shape[0]
     scale = max(np.linalg.norm(m0), np.linalg.norm(m1), 1.0)
     rep_scale = scale
@@ -108,7 +186,7 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray,
                                        residual_norm=res / rep_scale,
                                        non_isolated=non_isolated))
 
-    for ev0, ev1 in itertools.product(eigenvalues(m0, tol), eigenvalues(m1, tol)):
+    for ev0, ev1 in itertools.product(*spectra.poles[:2]):
         stacked = np.vstack([m0 - ev0.value * np.eye(n),
                              m1 - ev1.value * np.eye(n)])
         _, s, vh = np.linalg.svd(stacked)
@@ -129,20 +207,25 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray,
 
 
 def common_invariant_subspaces(rep: MonodromyRep, k: int,
-                               tol: Tolerances = DEFAULT) -> list[InvariantSubspace]:
+                               tol: Tolerances = DEFAULT,
+                               spectra: Optional[LocalSpectra] = None
+                               ) -> list[InvariantSubspace]:
     """Common invariant subspaces of dimension k, 1 <= k < n.
 
     k = 1 searches for common eigenvectors over eigenvalue pairs; k = n - 1
     applies the same search to the transpose pair and returns annihilators.
-    For n = 3 these two routes cover all proper dimensions.
+    For n = 3 these two routes cover all proper dimensions.  The
+    eigenvalues are those of ``spectra``, computed here when not given.
     """
     n = rep.n
     if not 1 <= k < n:
         raise DimensionError(f"k = {k} out of range for dimension {n}")
+    if spectra is None:
+        spectra = local_spectra(rep, tol)
     if k == 1:
-        return _common_lines(rep.m0, rep.m1, tol)
+        return _common_lines(rep.m0, rep.m1, spectra, tol)
     # k == n - 1: annihilators of common eigenvectors of the transposes
-    lines = _common_lines(rep.m0.T, rep.m1.T, tol)
+    lines = _common_lines(rep.m0.T, rep.m1.T, spectra, tol)
     out = []
     for line in lines:
         w = line.basis[:, 0]
@@ -181,14 +264,11 @@ class CompositionData:
 
     ``kind`` is one of irreducible / sub1 / sub2 / both / decomposable.
     ``sequences`` lists every short exact sequence found, (n-1)-dimensional
-    subs first; ``sub_rep``/``quotient_rep`` mirror the first one.  For
-    decomposable reps ``components`` holds the direct summands.
+    subs first.  For decomposable reps ``components`` holds the direct
+    summands.
     """
 
     kind: str
-    basis_change: np.ndarray
-    sub_rep: Optional[MonodromyRep] = None
-    quotient_rep: Optional[MonodromyRep] = None
     sigma: Optional[complex] = None
     sequences: tuple[Sequence, ...] = ()
     components: tuple[MonodromyRep, ...] = ()
@@ -216,15 +296,16 @@ def _sequence_from_subspace(rep: MonodromyRep, sub: InvariantSubspace) -> Sequen
                     basis_change=p)
 
 
-def _sigma_certificate(rep: MonodromyRep, tol: Tolerances) -> tuple[complex, bool]:
+def _sigma_certificate(rep: MonodromyRep, spectra: LocalSpectra,
+                       tol: Tolerances) -> tuple[complex, bool]:
     """Dim-2 irreducibility certificate.
 
     sigma = tr(M0 M1) - (l0*l1 + m0*m1) for a pairing of the eigenvalues;
     the rep is irreducible iff sigma != 0 for both pairings.  Returns the
     smaller-magnitude value and the nonzero verdict.
     """
-    e0 = [ev.value for ev in eigenvalues(rep.m0, tol) for _ in range(ev.multiplicity)]
-    e1 = [ev.value for ev in eigenvalues(rep.m1, tol) for _ in range(ev.multiplicity)]
+    e0, e1 = ([ev.value for ev in spectrum for _ in range(ev.multiplicity)]
+              for spectrum in spectra.poles[:2])
     trp = complex(np.trace(rep.m0 @ rep.m1))
     s_a = trp - (e0[0] * e1[0] + e0[1] * e1[1])
     s_b = trp - (e0[0] * e1[1] + e0[1] * e1[0])
@@ -233,23 +314,28 @@ def _sigma_certificate(rep: MonodromyRep, tol: Tolerances) -> tuple[complex, boo
     return sigma, abs(sigma) > tol.eps_sigma * scale
 
 
-def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT) -> CompositionData:
+def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
+            spectra: Optional[LocalSpectra] = None) -> CompositionData:
     """Full invariant-subspace analysis.
 
+    The line search, the plane search and the dim-2 sigma certificate all
+    read their eigenvalues from ``spectra``, computed here when not given.
     Sequences with an (n-1)-dimensional sub are listed first, matching the
     preference order used by the classifier; when several subspaces exist
     all induced sequences are surfaced so conclusions can be intersected.
     """
     n = rep.n
-    eye = np.eye(n, dtype=complex)
     if n == 1:
-        return CompositionData(kind="irreducible", basis_change=eye)
+        return CompositionData(kind="irreducible")
+    if spectra is None:
+        spectra = local_spectra(rep, tol)
 
-    lines = common_invariant_subspaces(rep, 1, tol)
-    planes = common_invariant_subspaces(rep, n - 1, tol) if n == 3 else []
+    lines = common_invariant_subspaces(rep, 1, tol, spectra)
+    planes = common_invariant_subspaces(rep, n - 1, tol, spectra) \
+        if n == 3 else []
     sigma = None
     if n == 2:
-        sigma, sigma_nonzero = _sigma_certificate(rep, tol)
+        sigma, sigma_nonzero = _sigma_certificate(rep, spectra, tol)
         if bool(lines) == sigma_nonzero:
             raise InconsistentCertificate(
                 f"subspace search found {len(lines)} invariant line(s) but "
@@ -258,11 +344,10 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT) -> CompositionData:
     non_isolated = any(s.non_isolated for s in lines + planes)
 
     if not lines and not planes:
-        return CompositionData(kind="irreducible", basis_change=eye, sigma=sigma)
+        return CompositionData(kind="irreducible", sigma=sigma)
 
     # decomposability: a complementary pair of invariant subspaces
     components: tuple[MonodromyRep, ...] = ()
-    basis_change = eye
     if n == 2:
         pairs = [(a, b) for a, b in itertools.combinations(lines, 2)]
     else:
@@ -276,7 +361,6 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT) -> CompositionData:
             k = big.dim
             components = (MonodromyRep(t0[:k, :k], t1[:k, :k]),
                           MonodromyRep(t0[k:, k:], t1[k:, k:]))
-            basis_change = p
             break
 
     sequences = tuple(_sequence_from_subspace(rep, s) for s in planes) + \
@@ -293,27 +377,24 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT) -> CompositionData:
     else:
         kind = "sub1"
 
-    first = sequences[0]
     return CompositionData(kind=kind,
-                           basis_change=basis_change if components else first.basis_change,
-                           sub_rep=first.sub_rep,
-                           quotient_rep=first.quotient_rep,
                            sigma=sigma,
                            sequences=sequences,
                            components=components,
                            non_isolated=non_isolated)
 
 
-def is_irreducible(rep: MonodromyRep, tol: Tolerances = DEFAULT) -> bool:
+def is_irreducible(rep: MonodromyRep, tol: Tolerances = DEFAULT,
+                   spectra: Optional[LocalSpectra] = None) -> bool:
     """True iff no common proper invariant subspace exists.
 
     Dimension 1 has no proper nonzero subrepresentation, hence is
     irreducible.  For n = 2 the subspace search is cross-checked against the
-    sigma certificate inside :func:`analyze`.
+    sigma certificate inside :func:`analyze`, which reads ``spectra``.
     """
     if rep.n == 1:
         return True
-    return analyze(rep, tol).kind == "irreducible"
+    return analyze(rep, tol, spectra).kind == "irreducible"
 
 
 def build_from_pslz(t_eigenvalues, s_matrix,

@@ -22,12 +22,10 @@ from logroots import (
     parse_input_document,
     preset,
     principal_log,
-    roots_dim3_irreducible,
     sample_and_check,
     sample_rep,
 )
-from logroots.chern import ChernData
-from logroots.classify import _EXCEPTIONAL, ext_splits
+from logroots.classify import _EXCEPTIONAL, _roots_irreducible, ext_splits
 from logroots.oracle import assemble_direct_sum
 
 from conftest import random_invertible
@@ -73,14 +71,10 @@ def test_criterion_3_irreducible_table():
         -5: {st(-1, -2, -2)},
         -6: {st(-2, -2, -2), st(-1, -2, -3)},
     }
-    rng = np.random.default_rng(0)
-    rep = MonodromyRep(random_invertible(rng, 3), random_invertible(rng, 3))
     for z, want in expected.items():
-        fake = ChernData(c1=z, per_pole=(), wrap_integers=(), det_wrap=0,
-                         raw_sum=float(-z), branch_sensitive=False)
-        res = roots_dim3_irreducible(rep, chern=fake)
-        assert set(res.options) == want, f"z = {z}"
-        assert (res.status == "candidates") == (z % 3 == 0)
+        options, _, _ = _roots_irreducible(3, z)
+        assert set(options) == want, f"z = {z}"
+        assert (len(options) > 1) == (z % 3 == 0)
     print("PASS criterion 3: irreducible dim-3 table matches for "
           "z in {-6..0}, two candidates iff z = 0 mod 3")
 

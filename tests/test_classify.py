@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from logroots import (
-    CohomologyDims,
     MonodromyRep,
     SplittingType,
     candidate_tree,
@@ -14,12 +13,10 @@ from logroots import (
     character_root,
     classify,
     ext_splits,
-    roots_dim2,
-    roots_dim3_irreducible,
 )
-from logroots import analyze, chern_class
-from logroots.chern import ChernData
-from logroots.errors import DimensionError
+from logroots import analyze, chern_class, local_spectra
+from logroots.classify import _roots_irreducible
+from logroots.errors import DimensionError, RootOutOfProvenRange
 
 from conftest import angle, random_invertible, random_unitary
 
@@ -42,19 +39,6 @@ class TestSplittingType:
         assert st(0, -1) == st(-1, 0)
 
 
-class TestCohomologyDims:
-    @pytest.mark.parametrize("d,h0,h1", [
-        (2, 3, 0), (0, 1, 0), (-1, 0, 0), (-2, 0, 1), (-5, 0, 4),
-    ])
-    def test_single_twist(self, d, h0, h1):
-        dims = CohomologyDims.of_twist(d)
-        assert (dims.h0, dims.h1) == (h0, h1)
-
-    def test_sum_over_roots(self):
-        dims = CohomologyDims.of_twists((0, -1, -2))
-        assert (dims.h0, dims.h1) == (1, 1)
-
-
 class TestCharacterRoot:
     @pytest.mark.parametrize("q0,q1,root", [
         (0, 0, 0),
@@ -69,13 +53,14 @@ class TestCharacterRoot:
         with pytest.raises(DimensionError):
             character_root(MonodromyRep(np.eye(2), np.eye(2)))
 
-    def test_uses_given_chern_data(self):
-        chi = character(angle(0.5), angle(0.5))
-        data = chern_class(chi)
-        assert character_root(chi, chern=data) == -1
-        # the caller's data is taken as given, not recomputed
-        other = chern_class(character(angle(0.75), angle(0.75)))
-        assert character_root(chi, chern=other) == -2
+    def test_root_table_is_the_degree(self):
+        for z in (0, -1, -2):
+            options, provenance, _ = _roots_irreducible(1, z)
+            assert options == [st(z)]
+            assert provenance == ["dim1.characterRoot"]
+        for z in (1, -3):
+            with pytest.raises(RootOutOfProvenRange):
+                _roots_irreducible(1, z)
 
 
 class TestExtSplits:
@@ -142,25 +127,21 @@ class TestRootsDim2:
 
 
 class TestRootsDim3Irreducible:
-    def _with_degree(self, z, rng):
-        # the table only reads c1; feed it through a synthetic ChernData
-        fake = ChernData(c1=z, per_pole=(), wrap_integers=(), det_wrap=0,
-                         raw_sum=float(-z), branch_sensitive=False)
-        rep = MonodromyRep(random_invertible(rng, 3), random_invertible(rng, 3))
-        return roots_dim3_irreducible(rep, chern=fake)
+    def _with_degree(self, z):
+        # the table reads only the integer degree
+        options, _, _ = _roots_irreducible(3, z)
+        return options
 
-    def test_mod_zero_two_candidates(self, rng):
-        res = self._with_degree(-3, rng)
-        assert set(res.options) == {st(-1, -1, -1), st(0, -1, -2)}
-        assert res.status == "candidates"
+    def test_mod_zero_two_candidates(self):
+        options = self._with_degree(-3)
+        assert set(options) == {st(-1, -1, -1), st(0, -1, -2)}
+        assert len(options) == 2
 
-    def test_mod_one_determined(self, rng):
-        res = self._with_degree(-2, rng)
-        assert res.options == (st(0, -1, -1),)
+    def test_mod_one_determined(self):
+        assert self._with_degree(-2) == [st(0, -1, -1)]
 
-    def test_mod_two_determined(self, rng):
-        res = self._with_degree(-4, rng)
-        assert res.options == (st(-1, -1, -2),)
+    def test_mod_two_determined(self):
+        assert self._with_degree(-4) == [st(-1, -1, -2)]
 
     def test_real_irreducible_sample(self, rng):
         for _ in range(50):
@@ -183,17 +164,30 @@ class TestRootsDim3Reducible:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_sequence_parts_match_classify(self, worked_example, exact):
+        # the parts classified from inherited spectra agree with parts
+        # classified from spectra of their own
         res = classify(worked_example, exact=exact)
         seq = analyze(worked_example).sequences[0]
-        sub, quotient = res.sequence_parts
+        sub, quotient = res.parts
         assert sub.options == classify(seq.sub_rep, exact=exact).options
         assert quotient.options == \
             classify(seq.quotient_rep, exact=exact).options
-        assert sub.chern == chern_class(seq.sub_rep, exact=exact)
+        own = chern_class(seq.sub_rep, exact=exact)
+        if exact:
+            assert sub.chern == own
+        else:
+            assert sub.chern.c1 == own.c1
+            for got, want in zip(sub.chern.per_pole, own.per_pole):
+                assert got.q_sum == pytest.approx(want.q_sum, abs=1e-12)
 
-    def test_given_composition_is_used(self, worked_example):
-        comp = analyze(worked_example)
-        assert classify(worked_example, comp=comp) == classify(worked_example)
+    def test_given_spectra_are_used(self, worked_example):
+        spectra = local_spectra(worked_example)
+        assert classify(worked_example, spectra=spectra) == \
+            classify(worked_example)
+        # a given record's own mode decides: it is read, not recomputed
+        exact = local_spectra(worked_example, exact=True)
+        res = classify(worked_example, spectra=exact)
+        assert res.chern.exact and all(p.chern.exact for p in res.parts)
 
     def test_planted_three_characters(self, rng):
         # upper triangular with known diagonal characters, split range

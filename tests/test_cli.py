@@ -63,6 +63,22 @@ class TestClassify:
         assert main(["classify", str(path)]) == 3
 
 
+    def test_run_tolerance_decides_singularity(self, tmp_path, capsys):
+        # |det m0| = 1e-13 is singular under the default eps_sing = 1e-12
+        # only; with --keep-going the rep becomes an error record
+        doc = {"version": "1", "reps": [{
+            "n": 1, "m0": [[[1e-13, 0.0]]], "m1": [[[1.0, 0.0]]]}]}
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path), "--tol-eps-sing", "1e-20"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["result"]
+        assert main(["classify", str(path)]) == 3
+        capsys.readouterr()
+        assert main(["classify", str(path), "--keep-going"]) == 3
+        (rec,) = json.loads(capsys.readouterr().out)["results"]
+        assert rec["error"]["type"] == "SingularMatrix"
+
+
 class TestRuntimeDependencies:
     def test_classify_runs_without_jsonschema(self, tmp_path):
         # jsonschema is a test dependency only; block its import and run

@@ -131,21 +131,46 @@ class TestOutputDocuments:
         assert rec["composition"]["sequence"]["quotient_roots"] == [[-1]]
 
     def test_sequence_parts_keep_their_bound_check(self, monkeypatch):
-        # the sub and quotient records reuse classify's results, and the
-        # dim-2 part still goes through the bound check classify runs
-        import logroots.io as lio
+        # the sub and quotient records are classify's own results for the
+        # parts, and every part goes through the bound check, as the rep
+        # does
+        import importlib
+        # the package's ``classify`` attribute is the function
+        lclassify = importlib.import_module("logroots.classify")
         checked = []
+        real = lclassify.chern_bound_check
 
-        def spy(rep, data, tol):
-            checked.append(rep.n)
-            return real(rep, data, tol)
+        def spy(rep, data, tol, spectra=None):
+            checked.append((rep.n, data.c1))
+            return real(rep, data, tol, spectra)
 
-        real = lio.chern_bound_check
-        monkeypatch.setattr(lio, "chern_bound_check", spy)
+        monkeypatch.setattr(lclassify, "chern_bound_check", spy)
         reps = parse_input_document(preset("pslz-section5"))
         (rec,) = classify_document(reps, exact=True)["results"]
-        assert rec["composition"]["sequence"]["sub_dim"] == 2
-        assert checked == [2]
+        sequence = rec["composition"]["sequence"]
+        assert (sequence["sub_dim"], sequence["sub_roots"]) == (2, [[0, -2]])
+        assert (2, -2) in checked and (1, -1) in checked
+        assert checked[-1] == (3, -3)
+
+    def test_exact_document_certifies_three_spectra(self, monkeypatch):
+        # one certified spectrum per local monodromy of the rep; its sub,
+        # quotient and summand reps inherit theirs
+        import importlib
+        from logroots import exact
+        real = exact.rational_angles
+        calls = []
+
+        def counting(a, tol):
+            calls.append(np.shape(a))
+            return real(a, tol)
+
+        for name in ("chern", "classify", "exact", "io", "rep"):
+            module = importlib.import_module(f"logroots.{name}")
+            if getattr(module, "rational_angles", None) is real:
+                monkeypatch.setattr(module, "rational_angles", counting)
+        reps = parse_input_document(preset("pslz-section5"))
+        classify_document(reps, exact=True)
+        assert calls == [(3, 3)] * 3
 
     def test_flags_present(self):
         reps = parse_input_document(preset("aux-character"))

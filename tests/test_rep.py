@@ -5,19 +5,27 @@ Independent oracle for the subspace search: brute-force matching of the
 eigenvector sets computed by np.linalg.eig.
 """
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from logroots import (
+    LocalSpectra,
     MonodromyRep,
     analyze,
     build_from_pslz,
     character,
+    chern_class,
     common_invariant_subspaces,
+    inherit_spectra,
     is_irreducible,
+    local_spectra,
     trivial,
 )
-from logroots.errors import DimensionError, RelationViolated, SingularMatrix
+from logroots.errors import (DimensionError, InconsistentCertificate,
+                             RelationViolated, SingularMatrix)
 
 from conftest import angle, random_invertible, random_unitary
 
@@ -191,6 +199,86 @@ class TestAnalyze:
         assert comp.kind == "both"
         dims = sorted(seq.sub_dim for seq in comp.sequences)
         assert dims == [1, 2, 2]
+
+
+def _multiset(spectrum):
+    return Counter({(ev.value, ev.q): ev.multiplicity for ev in spectrum})
+
+
+class TestInheritedSpectra:
+    def _check_partition(self, rep, exact):
+        # every sequence's sub and quotient split the parent's record at
+        # each pole, and their degrees add up to the parent's
+        parent = local_spectra(rep, exact=exact)
+        c1 = chern_class(rep, spectra=parent).c1
+        comp = analyze(rep, spectra=parent)
+        assert comp.sequences
+        for seq in comp.sequences:
+            sub = inherit_spectra(parent, seq.sub_rep)
+            quotient = inherit_spectra(parent, seq.quotient_rep)
+            for pole in range(3):
+                assert _multiset(sub.poles[pole]) \
+                    + _multiset(quotient.poles[pole]) \
+                    == _multiset(parent.poles[pole])
+            assert chern_class(seq.sub_rep, spectra=sub).c1 \
+                + chern_class(seq.quotient_rep, spectra=quotient).c1 == c1
+        return c1
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (1, 1, 1)])
+    def test_float_parts_partition_the_parent(self, rng, dims):
+        for _ in range(20):
+            self._check_partition(conjugated_block_pair(rng, dims), False)
+
+    def test_exact_parts_partition_the_parent(self, rng):
+        # upper triangular with planted rational angles; the reference
+        # degree is the Fraction sum of those angles at 0, 1 and infinity.
+        # Spectra are simple at every pole: a defective block does not
+        # certify in exact mode (see ROADMAP, Jordan structure)
+        checked = 0
+        while checked < 10:
+            q0, q1 = (tuple(Fraction(int(k), 12)
+                            for k in rng.choice(12, 3, replace=False))
+                      for _ in range(2))
+            q_inf = [(-a - b) % 1 for a, b in zip(q0, q1)]
+            if len(set(q_inf)) < 3:
+                continue
+            checked += 1
+            u = random_unitary(rng, 3)
+            m0, m1 = (u @ (np.diag([angle(q) for q in qs])
+                           + np.triu(rng.uniform(-1, 1, (3, 3)), k=1))
+                      @ u.conj().T for qs in (q0, q1))
+            expected = -(sum(q0) + sum(q1) + sum(q_inf))
+            rep = MonodromyRep(m0, m1)
+            assert self._check_partition(rep, True) == expected
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_unmatched_block_eigenvalue_is_refused(self, worked_example,
+                                                   exact):
+        parent = local_spectra(worked_example, exact=exact)
+        stranger = character(angle(0.123), angle(0.456))
+        with pytest.raises(InconsistentCertificate,
+                           match="of 0 parent eigenvalues"):
+            inherit_spectra(parent, stranger)
+
+    def test_ambiguous_match_is_refused(self):
+        # two parent eigenvalues within eps_cluster of the block's
+        close = local_spectra(MonodromyRep(np.diag([1.0, 1.0 + 5e-8]),
+                                           np.eye(2)))
+        assert len(close.poles[0]) == 1  # merged by the cluster radius
+        parent = LocalSpectra((local_spectra(character(1.0, 1.0)).poles[0]
+                               + local_spectra(character(1.0 + 5e-8, 1.0)
+                                               ).poles[0],)
+                              + close.poles[1:])
+        with pytest.raises(InconsistentCertificate,
+                           match="of 2 parent eigenvalues"):
+            inherit_spectra(parent, character(1.0 + 2e-8, 1.0))
+
+    def test_parent_multiplicity_is_not_exceeded(self):
+        parent = local_spectra(MonodromyRep(np.diag([1j, -1.0, 1.0]),
+                                            np.diag([-1j, -1.0, 1.0])))
+        twice = MonodromyRep(1j * np.eye(2), -1j * np.eye(2))
+        with pytest.raises(InconsistentCertificate, match="multiplicity"):
+            inherit_spectra(parent, twice)
 
 
 class TestIsIrreducible:

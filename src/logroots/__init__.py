@@ -67,7 +67,6 @@ from .rep import (
     character,
     common_invariant_subspaces,
     inherit_spectra,
-    is_irreducible,
     local_spectra,
     trivial,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "eigenvalues",
     "ext_splits",
     "inherit_spectra",
-    "is_irreducible",
     "jordan_form",
     "load_input",
     "local_spectra",

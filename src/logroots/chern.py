@@ -20,8 +20,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import NonIntegerChern, ProvenBoundViolated
 from .linalg import BranchedEigenvalue
-from .rep import (POLES, LocalSpectra, MonodromyRep, is_irreducible,
-                  local_spectra)
+from .rep import POLES, LocalSpectra, MonodromyRep, local_spectra
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,6 @@ def chern_class(rep: MonodromyRep, tol: Tolerances = DEFAULT,
                      branch_sensitive=branch_sensitive, exact=exact)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    statement: str
-    holds: bool
-    conjectural: bool
-
-
 def unitarity_test(rep: MonodromyRep, tol: Tolerances = DEFAULT) -> bool:
     """True iff both generator images are (literally) unitary."""
     eye = np.eye(rep.n)
@@ -123,36 +114,24 @@ def unitarity_test(rep: MonodromyRep, tol: Tolerances = DEFAULT) -> bool:
     return True
 
 
-def chern_bound_check(rep: MonodromyRep, data: ChernData,
-                      tol: Tolerances = DEFAULT,
-                      spectra: Optional[LocalSpectra] = None
-                      ) -> list[BoundReport]:
-    """Check every proven degree bound that applies to this rep.
+def chern_bound_check(rep: MonodromyRep, data: ChernData, irreducible: bool,
+                      tol: Tolerances = DEFAULT) -> None:
+    """Enforce the dim-2 degree window on a rep of degree ``data.c1``.
 
-    For n = 2 the bound 0 >= c1 >= -4 is a theorem, so a violation is a hard
-    error; the n = 3 window -6 < c1 <= 0 is only reported as conjectural.
-    The irreducibility a unitary dim-2 rep is tested for reads ``spectra``.
+    Raises ProvenBoundViolated unless 0 >= c1 >= -4, and, for an
+    irreducible unitary rep, c1 < 0; ``irreducible`` is the caller's
+    verdict from its invariant-subspace analysis.  The window is enforced
+    on every dim-2 pair, unitary or not, although the residue formula
+    admits c1 = -5 for n = 2 and non-unitary pairs with c1 = -5 exist;
+    :func:`logroots.classify.classify` refuses those at its dim-2 root
+    window before it calls this check.  No other dimension has a window
+    here.
     """
-    reports = []
+    if rep.n != 2:
+        return
     c1 = data.c1
-    if rep.n == 2:
-        holds = 0 >= c1 >= -4
-        reports.append(BoundReport("chern-bound-dim2", "0 >= c1 >= -4",
-                                   holds, conjectural=False))
-        if not holds:
-            raise ProvenBoundViolated(f"dim-2 degree bound failed: c1 = {c1}")
-        if unitarity_test(rep, tol) and is_irreducible(rep, tol, spectra):
-            strict = 0 > c1 >= -4
-            reports.append(BoundReport("strict-bound-unitary-dim2",
-                                       "0 > c1 >= -4 (irreducible unitary)",
-                                       strict, conjectural=False))
-            if not strict:
-                raise ProvenBoundViolated(
-                    f"strict bound for irreducible unitary dim-2 failed: c1 = {c1}")
-    elif rep.n == 3:
-        reports.append(BoundReport("chern-window-dim3", "-6 < c1 <= 0",
-                                   -6 < c1 <= 0, conjectural=True))
-    else:
-        reports.append(BoundReport("character-range", "c1 in {0, -1, -2}",
-                                   c1 in (0, -1, -2), conjectural=False))
-    return reports
+    if not 0 >= c1 >= -4:
+        raise ProvenBoundViolated(f"dim-2 degree bound failed: c1 = {c1}")
+    if irreducible and c1 == 0 and unitarity_test(rep, tol):
+        raise ProvenBoundViolated(
+            f"strict bound for irreducible unitary dim-2 failed: c1 = {c1}")

@@ -295,7 +295,7 @@ def classify(rep: MonodromyRep, tol: Tolerances = DEFAULT,
             raise RootOutOfProvenRange(
                 "excluded multiset (0,-1,-3) produced for a reducible "
                 "dim-3 rep")
-    chern_bound_check(rep, chern, tol, spectra)
+    chern_bound_check(rep, chern, comp.kind == "irreducible", tol)
 
     opts = tuple(sorted(set(options), reverse=True))
     weights = [-max(o.roots) for o in opts]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -26,9 +27,24 @@ def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
                             "(flag > file > default)")
     for name in TOLERANCE_NAMES:
         flag = "--tol-" + name.replace("_", "-")
-        kind = int if name in ("max_denominator", "exact_dps") else float
-        group.add_argument(flag, type=kind, dest=f"tol_{name}", default=None,
+        group.add_argument(flag, type=type(getattr(DEFAULT, name)),
+                           dest=f"tol_{name}", default=None,
                            help=f"override {name} (default {getattr(DEFAULT, name)})")
+
+
+def _checked(name: str, value):
+    """``value`` as the tolerance ``name``: an integer >= 1 for an integer
+    field, else a finite number >= 0.  Raises SchemaError naming ``name``."""
+    if isinstance(getattr(DEFAULT, name), int):
+        if type(value) is int and value >= 1:
+            return value
+        wanted = "an integer >= 1"
+    else:
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and value >= 0):
+            return float(value)
+        wanted = "a finite number >= 0"
+    raise SchemaError(f"tolerance {name}: {value!r} is not {wanted}")
 
 
 def _tolerances(args) -> Tolerances:
@@ -36,6 +52,9 @@ def _tolerances(args) -> Tolerances:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_overrides = json.load(fh)
+        if not isinstance(file_overrides, dict):
+            raise SchemaError(f"config {args.config} does not hold a JSON "
+                              "object of tolerance names")
         unknown = set(file_overrides) - set(TOLERANCE_NAMES)
         if unknown:
             raise SchemaError(f"unknown tolerance names in config: {sorted(unknown)}")
@@ -44,7 +63,8 @@ def _tolerances(args) -> Tolerances:
         value = getattr(args, f"tol_{name}", None)
         if value is not None:
             overrides[name] = value
-    return DEFAULT.override(**overrides)
+    return DEFAULT.override(**{name: _checked(name, value)
+                               for name, value in overrides.items()})
 
 
 def _emit(doc, out: Optional[str]) -> None:

@@ -38,8 +38,10 @@ class NonIntegerChern(LogrootsError):
 
 
 class ProvenBoundViolated(LogrootsError):
-    """A bound that is a theorem for this input class failed -- this signals
-    a numerical fault, not a mathematical possibility."""
+    """A dim-2 rep's degree is outside the window 0 >= c1 >= -4, or an
+    irreducible unitary one has c1 = 0.  The window is enforced on every
+    dim-2 pair, unitary or not, and non-unitary pairs with c1 = -5 exist;
+    ``classify`` refuses those with RootOutOfProvenRange first."""
 
 
 class RootOutOfProvenRange(LogrootsError):

@@ -31,7 +31,7 @@ from .classify import SplittingResult, classify
 from .config import DEFAULT, Tolerances
 from .errors import LogrootsError, SchemaError
 from .linalg import jordan_form
-from .rep import MonodromyRep
+from .rep import LocalSpectra, MonodromyRep, local_spectra
 
 VERSION = "1"
 
@@ -199,8 +199,10 @@ def result_to_json(result: SplittingResult) -> dict:
 def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
                          exact: bool = False) -> dict:
     """Full per-rep output record: degree data, composition structure,
-    splitting result, and quality flags."""
-    result = classify(rep, tol, exact=exact)
+    splitting result, and quality flags, all read from one record of the
+    rep's local spectra."""
+    spectra = local_spectra(rep, tol, exact)
+    result = classify(rep, tol, spectra=spectra)
     record = {
         "label": rep.label,
         "n": rep.n,
@@ -209,7 +211,7 @@ def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
         "result": result_to_json(result),
         "flags": {
             "branch_sensitive": result.chern.branch_sensitive,
-            "low_confidence": _low_confidence(rep, tol),
+            "low_confidence": _low_confidence(rep, spectra, tol),
             "non_isolated": result.non_isolated,
             "conjectural_notes": [n for n in result.notes if "conjectur" in n],
         },
@@ -224,9 +226,14 @@ def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     return record
 
 
-def _low_confidence(rep: MonodromyRep, tol: Tolerances) -> bool:
-    return any(jordan_form(m, tol).low_confidence
-               for m in (rep.m0, rep.m1, rep.m_infinity))
+def _low_confidence(rep: MonodromyRep, spectra: LocalSpectra,
+                    tol: Tolerances) -> bool:
+    """Whether a Jordan basis of M0, M1 or M-infinity, read against that
+    pole's eigenvalues in ``spectra``, is worse conditioned than
+    ``tol.cond_max``."""
+    return any(jordan_form(m, tol, spectrum).low_confidence
+               for m, spectrum in zip((rep.m0, rep.m1, rep.m_infinity),
+                                      spectra.poles))
 
 
 # numpy raises LinAlgError where LAPACK fails to converge or a change of

@@ -10,9 +10,9 @@ used throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -229,18 +229,23 @@ def _chains_for_eigenvalue(a: np.ndarray, ev: BranchedEigenvalue,
     return [chain, [w / np.linalg.norm(w)]]
 
 
-def jordan_form(a, tol: Tolerances = DEFAULT) -> JordanDecomposition:
+def jordan_form(a, tol: Tolerances = DEFAULT,
+                spectrum: Optional[Iterable[BranchedEigenvalue]] = None
+                ) -> JordanDecomposition:
     """Jordan decomposition A = P J P^{-1} for invertible A, n <= 3.
 
-    Geometric multiplicities come from SVD ranks of (A - lambda I)^k.  When
-    cond(P) exceeds ``tol.cond_max`` the result is flagged low-confidence
-    rather than rejected.
+    The eigenvalues are ``spectrum``, A's own (such as one pole of a rep's
+    local spectra), or computed here when not given.  Geometric
+    multiplicities come from SVD ranks of (A - lambda I)^k.  When cond(P)
+    exceeds ``tol.cond_max`` the result is flagged low-confidence rather
+    than rejected.
     """
     a = as_matrix(a)
-    evs = eigenvalues(a, tol)
+    if spectrum is None:
+        spectrum = eigenvalues(a, tol)
     cols = []
     blocks = []
-    for ev in evs:  # already ordered by (q, r)
+    for ev in sorted(spectrum, key=lambda ev: (ev.q, ev.r)):
         chains = _chains_for_eigenvalue(a, ev, tol)
         chains.sort(key=len, reverse=True)
         for chain in chains:
@@ -263,12 +268,10 @@ def jordan_form(a, tol: Tolerances = DEFAULT) -> JordanDecomposition:
 
 @dataclass(frozen=True)
 class PrincipalLog:
-    """L = log(A) under the q in [0,1) branch, with the source spectrum."""
+    """L = log(A) under the q in [0,1) branch, and its trace."""
 
     L: np.ndarray
-    eigenvalues: tuple[BranchedEigenvalue, ...]
     trace_of_log: complex
-    low_confidence: bool = False
 
 
 def _log_jordan_block(ev: BranchedEigenvalue, size: int) -> np.ndarray:
@@ -295,7 +298,6 @@ def principal_log(a, tol: Tolerances = DEFAULT) -> PrincipalLog:
         logj[pos:pos + size, pos:pos + size] = _log_jordan_block(ev, size)
         pos += size
     l = jd.P @ logj @ np.linalg.inv(jd.P)
-    evs = tuple(dict.fromkeys(ev for ev, _ in jd.blocks))
+    evs = dict.fromkeys(ev for ev, _ in jd.blocks)
     trace = sum(ev.log() * ev.multiplicity for ev in evs)
-    return PrincipalLog(L=l, eigenvalues=evs, trace_of_log=trace,
-                        low_confidence=jd.low_confidence)
+    return PrincipalLog(L=l, trace_of_log=trace)

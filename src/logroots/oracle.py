@@ -19,7 +19,7 @@ from .chern import chern_class, unitarity_test
 from .classify import SplittingType, classify
 from .config import DEFAULT, Tolerances
 from .errors import AmbiguousPart, LogrootsError, NonIntegerChern
-from .rep import MonodromyRep, is_irreducible
+from .rep import MonodromyRep, local_spectra
 
 ENSEMBLES = ("generic", "unitary", "rationalAngle", "blockUpperTriangular")
 
@@ -231,7 +231,7 @@ def _check_chern_bound_dim2(rep, data, report, i, tol):
 def _check_strict_unitary(rep, data, report, i, tol):
     if rep.n != 2 or not unitarity_test(rep, tol):
         return "skip"
-    if not is_irreducible(rep, tol):
+    if data["result"].composition_kind != "irreducible":
         return "skip"
     if not data["c1"] < 0:
         _violation(report, i, "c1 < 0 (irreducible unitary dim 2)",
@@ -311,22 +311,24 @@ CHECKS: dict[str, Callable] = {
     "exact-float-agreement": _check_exact_float_agreement,
 }
 
-_NEEDS_RESULT = {"root-bound-dim2", "reducible-bound-dim3", "nonroots",
-                 "sum-rule"}
+_NEEDS_RESULT = {"strict-bound-unitary-dim2", "root-bound-dim2",
+                 "reducible-bound-dim3", "nonroots", "sum-rule"}
 
 
 def sample_and_check(spec: SampleSpec, checks: list[str],
                      tol: Tolerances = DEFAULT) -> OracleReport:
     """Run the named checks over the ensemble; violations are data, not
-    exceptions, so a report always comes back."""
+    exceptions, so a report always comes back.  Each sample's local
+    spectra are computed once, for its degree and its classification."""
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
     report = OracleReport(spec=spec, checks=tuple(checks))
     need_result = bool(_NEEDS_RESULT & set(checks))
     for i, rep in enumerate(sample_reps(spec)):
+        spectra = local_spectra(rep, tol)
         try:
-            chern = chern_class(rep, tol)
+            chern = chern_class(rep, tol, spectra=spectra)
         except NonIntegerChern as exc:
             _violation(report, i, "integer c1", f"NonIntegerChern: {exc}")
             continue
@@ -334,7 +336,7 @@ def sample_and_check(spec: SampleSpec, checks: list[str],
         report.c1_histogram[chern.c1] = report.c1_histogram.get(chern.c1, 0) + 1
         if need_result:
             try:
-                data["result"] = classify(rep, tol)
+                data["result"] = classify(rep, tol, spectra=spectra)
             except LogrootsError as exc:
                 _violation(report, i, "classification succeeds",
                            f"{type(exc).__name__}: {exc}")

@@ -169,7 +169,6 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
     eigenvalues in ``spectra`` (a transpose has the same spectrum)."""
     n = m0.shape[0]
     scale = max(np.linalg.norm(m0), np.linalg.norm(m1), 1.0)
-    rep_scale = scale
     found: list[InvariantSubspace] = []
 
     def _emit(vec: np.ndarray, non_isolated: bool):
@@ -183,7 +182,7 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
             w = m @ vec
             res = max(res, float(np.linalg.norm(w - (vec.conj() @ w) * vec)))
         found.append(InvariantSubspace(dim=1, basis=basis,
-                                       residual_norm=res / rep_scale,
+                                       residual_norm=res / scale,
                                        non_isolated=non_isolated))
 
     for ev0, ev1 in itertools.product(*spectra.poles[:2]):
@@ -382,19 +381,6 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
                            sequences=sequences,
                            components=components,
                            non_isolated=non_isolated)
-
-
-def is_irreducible(rep: MonodromyRep, tol: Tolerances = DEFAULT,
-                   spectra: Optional[LocalSpectra] = None) -> bool:
-    """True iff no common proper invariant subspace exists.
-
-    Dimension 1 has no proper nonzero subrepresentation, hence is
-    irreducible.  For n = 2 the subspace search is cross-checked against the
-    sigma certificate inside :func:`analyze`, which reads ``spectra``.
-    """
-    if rep.n == 1:
-        return True
-    return analyze(rep, tol, spectra).kind == "irreducible"
 
 
 def build_from_pslz(t_eigenvalues, s_matrix,

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,25 @@ def random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """Count the calls to ``logroots.<module>.<name>`` from every logroots
+    module that holds it; the returned list gets each call's first
+    argument."""
+    real = getattr(importlib.import_module(f"logroots.{module}"), name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for short in ("chern", "classify", "exact", "io", "linalg", "oracle",
+                  "rep"):
+        mod = importlib.import_module(f"logroots.{short}")
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def minimal_doc(**overrides):

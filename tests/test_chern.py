@@ -13,6 +13,7 @@ import pytest
 from logroots import (
     DEFAULT,
     MonodromyRep,
+    analyze,
     character,
     chern_bound_check,
     chern_class,
@@ -138,28 +139,34 @@ class TestBoundCheck:
 
     def test_dim2_violation_is_hard_error(self, rng):
         rep = MonodromyRep(random_invertible(rng, 2), random_invertible(rng, 2))
-        with pytest.raises(ProvenBoundViolated):
-            chern_bound_check(rep, self._fake(-5))
-        with pytest.raises(ProvenBoundViolated):
-            chern_bound_check(rep, self._fake(1))
+        for irreducible in (False, True):
+            with pytest.raises(ProvenBoundViolated):
+                chern_bound_check(rep, self._fake(-5), irreducible)
+            with pytest.raises(ProvenBoundViolated):
+                chern_bound_check(rep, self._fake(1), irreducible)
 
     def test_dim2_in_range_passes(self, rng):
+        # a generic pair is not unitary, so c1 = 0 passes even if irreducible
         rep = MonodromyRep(random_invertible(rng, 2), random_invertible(rng, 2))
-        reports = chern_bound_check(rep, self._fake(-3))
-        assert reports[0].holds and not reports[0].conjectural
+        for c1 in range(0, -5, -1):
+            for irreducible in (False, True):
+                assert chern_bound_check(rep, self._fake(c1), irreducible) \
+                    is None
 
     def test_unitary_irreducible_strict(self, rng):
         for _ in range(20):
             rep = MonodromyRep(random_unitary(rng, 2), random_unitary(rng, 2))
-            data = chern_class(rep)
-            reports = chern_bound_check(rep, data)
-            strict = [r for r in reports if r.name == "strict-bound-unitary-dim2"]
-            if strict:
-                assert strict[0].holds
+            irreducible = analyze(rep).kind == "irreducible"
+            assert irreducible
+            chern_bound_check(rep, chern_class(rep), irreducible)
+            with pytest.raises(ProvenBoundViolated, match="strict"):
+                chern_bound_check(rep, self._fake(0), True)
+            # the strict bound is for irreducible reps only
+            assert chern_bound_check(rep, self._fake(0), False) is None
 
     def test_dim3_window_is_conjectural(self, rng):
         rep = MonodromyRep(random_invertible(rng, 3), random_invertible(rng, 3))
-        # even an out-of-window value only flags, never raises
-        reports = chern_bound_check(rep, self._fake(-7))
-        (window,) = [r for r in reports if r.name == "chern-window-dim3"]
-        assert window.conjectural and not window.holds
+        # even an out-of-window value never raises
+        assert chern_bound_check(rep, self._fake(-7), False) is None
+        assert chern_bound_check(character(1.0, 1.0), self._fake(-3), True) \
+            is None

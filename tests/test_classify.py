@@ -18,7 +18,7 @@ from logroots import analyze, chern_class, local_spectra
 from logroots.classify import _roots_irreducible
 from logroots.errors import DimensionError, RootOutOfProvenRange
 
-from conftest import angle, random_invertible, random_unitary
+from conftest import angle, count_calls, random_invertible, random_unitary
 
 
 def st(*roots):
@@ -124,6 +124,14 @@ class TestRootsDim2:
             res = classify(rep)
             for opt in res.options:
                 assert opt.total == res.chern.c1
+
+    def test_irreducible_unitary_is_analyzed_once(self, rng, monkeypatch):
+        # the bound check takes irreducibility from classify's analysis
+        calls = count_calls(monkeypatch, "rep", "analyze")
+        rep = MonodromyRep(random_unitary(rng, 2), random_unitary(rng, 2))
+        res = classify(rep)
+        assert res.composition_kind == "irreducible"
+        assert len(calls) == 1 and calls[0] is rep
 
 
 class TestRootsDim3Irreducible:

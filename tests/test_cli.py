@@ -179,3 +179,44 @@ class TestTolerances:
         cfg = tmp_path / "tol.json"
         cfg.write_text(json.dumps({"no_such_tolerance": 1.0}))
         assert main(["classify", pslz_path, "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"eps_sing": "x"}, {"eps_sing": -1.0}, {"eps_int": True},
+        {"eps_sing": None}, {"cond_max": 1e400}, {"max_denominator": 2.5},
+        {"max_denominator": 0}, {"exact_dps": True}, {"exact_dps": "60"},
+    ])
+    def test_bad_config_value_is_schema_error(self, config, pslz_path,
+                                              tmp_path, capsys):
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["classify", pslz_path, "--exact",
+                     "--config", str(cfg)]) == 2
+        (name,) = config
+        assert f"tolerance {name}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-eps-sing", "-1"), ("--tol-eps-sing", "nan"),
+        ("--tol-cond-max", "inf"), ("--tol-max-denominator", "0"),
+        ("--tol-exact-dps", "-5"),
+    ])
+    def test_bad_flag_value_is_schema_error(self, flag, value, pslz_path,
+                                            capsys):
+        assert main(["classify", pslz_path, flag, value]) == 2
+        name = flag[len("--tol-"):].replace("-", "_")
+        assert f"tolerance {name}:" in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, pslz_path, tmp_path, capsys):
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps([1, 2]))
+        assert main(["classify", pslz_path, "--config", str(cfg)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_valid_values_are_accepted(self, pslz_path, tmp_path, capsys):
+        # zero is a valid float tolerance, an integer a valid float value
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps({"eps_branch": 0, "eps_int": 1e-6,
+                                   "max_denominator": 12, "exact_dps": 40}))
+        assert main(["classify", pslz_path, "--exact", "--config", str(cfg),
+                     "--tol-eps-sing", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"][0]["result"]["canonical"] == ["(0,-1,-2)"]

@@ -24,3 +24,12 @@ def test_worked_example():
 
 def test_tree_of_roots():
     assert run_demo("tree_of_roots.py")
+
+
+def test_sampling_bounds():
+    # every seeded suite reports no violation, and the scan its tally
+    out = run_demo("sampling_bounds.py")
+    suites = [line for line in out.splitlines() if line.startswith("[")]
+    assert len(suites) == 4
+    assert all(": OK;" in line for line in suites)
+    assert "'tally'" in out

@@ -17,7 +17,7 @@ from logroots.io import (
     parse_input_document,
 )
 
-from conftest import angle, minimal_doc
+from conftest import angle, count_calls, minimal_doc
 
 
 class TestInputParsing:
@@ -140,9 +140,9 @@ class TestOutputDocuments:
         checked = []
         real = lclassify.chern_bound_check
 
-        def spy(rep, data, tol, spectra=None):
+        def spy(rep, data, irreducible, tol):
             checked.append((rep.n, data.c1))
-            return real(rep, data, tol, spectra)
+            return real(rep, data, irreducible, tol)
 
         monkeypatch.setattr(lclassify, "chern_bound_check", spy)
         reps = parse_input_document(preset("pslz-section5"))
@@ -155,22 +155,35 @@ class TestOutputDocuments:
     def test_exact_document_certifies_three_spectra(self, monkeypatch):
         # one certified spectrum per local monodromy of the rep; its sub,
         # quotient and summand reps inherit theirs
-        import importlib
-        from logroots import exact
-        real = exact.rational_angles
-        calls = []
-
-        def counting(a, tol):
-            calls.append(np.shape(a))
-            return real(a, tol)
-
-        for name in ("chern", "classify", "exact", "io", "rep"):
-            module = importlib.import_module(f"logroots.{name}")
-            if getattr(module, "rational_angles", None) is real:
-                monkeypatch.setattr(module, "rational_angles", counting)
+        calls = count_calls(monkeypatch, "exact", "rational_angles")
         reps = parse_input_document(preset("pslz-section5"))
         classify_document(reps, exact=True)
-        assert calls == [(3, 3)] * 3
+        assert [np.shape(a) for a in calls] == [(3, 3)] * 3
+
+    def test_float_document_computes_three_spectra(self, monkeypatch):
+        # the record's spectra at 0, 1 and infinity are the only eigenvalue
+        # computations; the Jordan bases behind low_confidence read them
+        calls = count_calls(monkeypatch, "linalg", "eigenvalues")
+        reps = parse_input_document(preset("pslz-section5"))
+        (rec,) = classify_document(reps)["results"]
+        assert rec["result"]["canonical"] == ["(0,-1,-2)"]
+        assert [np.shape(a) for a in calls] == [(3, 3)] * 3
+
+    def test_ill_conditioned_jordan_basis_is_low_confidence(self):
+        # M0 = [[1, t], [0, 1 + g]] has eigenvectors (1, 0) and about
+        # (1, g/t), so cond(P) is about 2t/g = 2e9, above cond_max = 1e8;
+        # its relative eigenvalue gap 1e-6 is ten times eps_cluster
+        from logroots import MonodromyRep
+        rep = MonodromyRep(np.array([[1, 1e3], [0, 1 + 1e-6]]),
+                           np.array([[0, 1], [1, 0]]), label="ill")
+        (rec,) = classify_document([rep])["results"]
+        jsonschema.validate({"version": "1", "results": [rec]},
+                            output_schema())
+        assert rec["flags"]["low_confidence"] is True
+        assert rec["result"]["canonical"] == ["(0,-1)"]
+        (well,) = classify_document(parse_input_document(
+            preset("aux-character")))["results"]
+        assert well["flags"]["low_confidence"] is False
 
     def test_flags_present(self):
         reps = parse_input_document(preset("aux-character"))
@@ -212,10 +225,10 @@ class TestOutputDocuments:
                            label="bad")
         jordan_form = lio.jordan_form
 
-        def failing_for_dim3(m, tol):
+        def failing_for_dim3(m, tol, spectrum):
             if m.shape[0] == 3:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return jordan_form(m, tol)
+            return jordan_form(m, tol, spectrum)
 
         monkeypatch.setattr(lio, "jordan_form", failing_for_dim3)
         with pytest.raises(np.linalg.LinAlgError):

@@ -20,7 +20,7 @@ from logroots import (
 from logroots.errors import AmbiguousPart
 from logroots.oracle import CHECKS, ENSEMBLES, assemble_direct_sum
 
-from conftest import angle
+from conftest import angle, count_calls
 
 
 class TestEnsembles:
@@ -68,6 +68,23 @@ class TestSampleAndCheck:
         assert report.ok
         assert report.violations == []
         assert sum(report.c1_histogram.values()) == 100
+
+    def test_one_record_and_analysis_per_sample(self, monkeypatch):
+        # the degree, the classification and the strict unitary check all
+        # read one record of each sample's spectra and one analysis
+        spectra = count_calls(monkeypatch, "rep", "local_spectra")
+        analyses = count_calls(monkeypatch, "rep", "analyze")
+        spec = SampleSpec(count=20, dim=2, ensemble="unitary", seed=8)
+        report = sample_and_check(
+            spec, ["chern-bound-dim2", "strict-bound-unitary-dim2",
+                   "root-bound-dim2", "sum-rule", "integrality"])
+        assert report.ok and report.skipped == 0
+        assert report.checks_run == 5 * 20
+        reps = list(sample_reps(spec))
+        for calls in (spectra, analyses):
+            assert len(calls) == 20
+            assert all(np.array_equal(got.m0, rep.m0)
+                       for got, rep in zip(calls, reps))
 
     def test_branch_roundtrip_check(self):
         spec = SampleSpec(count=50, dim=3, ensemble="generic", seed=21)

@@ -2,12 +2,36 @@
 
 All thresholds live in one place so they can be overridden consistently
 (e.g. from the command line or a config file).  Relative tolerances are
-applied against a problem-dependent scale by the caller.
+applied against a problem-dependent scale by the caller.  A float field
+holds a finite number >= 0 and an integer field an integer >= 1; any
+other value, a bool included, raises SchemaError naming the field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
+
+from .errors import SchemaError
+
+
+def _checked(name: str, value, integer: bool):
+    """``value`` as the tolerance ``name``: an integer >= 1 for an integer
+    field, else a finite float >= 0.  Raises SchemaError naming ``name``."""
+    if not isinstance(value, bool):
+        if integer:
+            if isinstance(value, Integral) and value >= 1:
+                return int(value)
+        elif isinstance(value, Real):
+            try:
+                x = float(value)
+            except OverflowError:  # an integer beyond the float range
+                x = math.inf
+            if math.isfinite(x) and x >= 0:
+                return x
+    wanted = "an integer >= 1" if integer else "a finite number >= 0"
+    raise SchemaError(f"tolerance {name}: {value!r} is not {wanted}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +60,12 @@ class Tolerances:
     max_denominator: int = 4096
     # working precision (decimal digits) of the exact-mode verification
     exact_dps: int = 60
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               _checked(f.name, getattr(self, f.name),
+                                        isinstance(f.default, int)))
 
     def override(self, **kwargs) -> "Tolerances":
         """Return a copy with the given fields replaced."""

@@ -29,7 +29,7 @@ def as_matrix(a) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] not in (1, 2, 3):
         raise DimensionError(f"dimension {m.shape[0]} not in {{1, 2, 3}}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -168,9 +168,28 @@ class JordanDecomposition:
         return tuple(size for _, size in self.blocks)
 
 
+def _shifted(a: np.ndarray, values) -> np.ndarray:
+    """The stack of A - lambda I over ``values``."""
+    return a - np.asarray(values)[:, None, None] * np.eye(a.shape[0])
+
+
+def _simple_eigenvectors(a: np.ndarray, values: list[complex],
+                         tol: Tolerances) -> np.ndarray:
+    """Null vectors of A - lambda I for simple eigenvalues, as rows, from
+    one SVD of the stack of those matrices: per eigenvalue, the first
+    right singular vector whose singular value is within ``tol.eps_rank``
+    of the scale, or else the least singular direction."""
+    scale = max(np.linalg.norm(a), 1.0)
+    thr = tol.eps_rank * max(scale, 1e-300)
+    _, s, vh = np.linalg.svd(_shifted(a, values))
+    small = s <= thr
+    pick = np.where(small.any(axis=1), small.argmax(axis=1), s.shape[1] - 1)
+    return vh[np.arange(len(values)), pick].conj()
+
+
 def _chains_for_eigenvalue(a: np.ndarray, ev: BranchedEigenvalue,
                            tol: Tolerances) -> list[list[np.ndarray]]:
-    """Jordan chains for one eigenvalue, largest block first.
+    """Jordan chains for one repeated eigenvalue, largest block first.
 
     Each chain is returned base-first: [N^{k-1}v, ..., Nv, v].
     """
@@ -179,13 +198,6 @@ def _chains_for_eigenvalue(a: np.ndarray, ev: BranchedEigenvalue,
     m = ev.multiplicity
     nil = a - lam * np.eye(n)
     scale = max(np.linalg.norm(a), 1.0)
-    if m == 1:
-        v = _null_basis(nil, tol, scale)
-        if v.shape[1] == 0:
-            # fall back to the least singular direction
-            _, _, vh = np.linalg.svd(nil)
-            v = vh.conj().T[:, -1:]
-        return [[v[:, 0]]]
     g = n - _rank(nil, tol, scale)
     g = min(max(g, 1), m)
     if g == m:
@@ -235,19 +247,27 @@ def jordan_form(a, tol: Tolerances = DEFAULT,
     """Jordan decomposition A = P J P^{-1} for invertible A, n <= 3.
 
     The eigenvalues are ``spectrum``, A's own (such as one pole of a rep's
-    local spectra), or computed here when not given.  Geometric
-    multiplicities come from SVD ranks of (A - lambda I)^k.  When cond(P)
-    exceeds ``tol.cond_max`` the result is flagged low-confidence rather
-    than rejected.
+    local spectra), or computed here when not given.  The eigenvectors of
+    all simple eigenvalues come from one SVD of the stack of their
+    (A - lambda I); a repeated eigenvalue takes its geometric multiplicity
+    and chains from SVD ranks of (A - lambda I)^k.  When cond(P) exceeds
+    ``tol.cond_max`` the result is flagged low-confidence rather than
+    rejected.
     """
     a = as_matrix(a)
     if spectrum is None:
         spectrum = eigenvalues(a, tol)
+    spectrum = sorted(spectrum, key=lambda ev: (ev.q, ev.r))
+    simple = [ev.value for ev in spectrum if ev.multiplicity == 1]
+    vecs = iter(_simple_eigenvectors(a, simple, tol) if simple else ())
     cols = []
     blocks = []
-    for ev in sorted(spectrum, key=lambda ev: (ev.q, ev.r)):
-        chains = _chains_for_eigenvalue(a, ev, tol)
-        chains.sort(key=len, reverse=True)
+    for ev in spectrum:
+        if ev.multiplicity == 1:
+            chains = [[next(vecs)]]
+        else:
+            chains = _chains_for_eigenvalue(a, ev, tol)
+            chains.sort(key=len, reverse=True)
         for chain in chains:
             blocks.append((ev, len(chain)))
             cols.extend(chain)

@@ -319,7 +319,10 @@ def sample_and_check(spec: SampleSpec, checks: list[str],
                      tol: Tolerances = DEFAULT) -> OracleReport:
     """Run the named checks over the ensemble; violations are data, not
     exceptions, so a report always comes back.  Each sample's local
-    spectra are computed once, for its degree and its classification."""
+    spectra are computed once, for its degree and its classification,
+    and its degree once: a classification carries it.  A sample whose
+    degree is no integer is one violation; a sample that classify refuses
+    otherwise still counts in the degree histogram."""
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
@@ -327,20 +330,26 @@ def sample_and_check(spec: SampleSpec, checks: list[str],
     need_result = bool(_NEEDS_RESULT & set(checks))
     for i, rep in enumerate(sample_reps(spec)):
         spectra = local_spectra(rep, tol)
-        try:
-            chern = chern_class(rep, tol, spectra=spectra)
-        except NonIntegerChern as exc:
-            _violation(report, i, "integer c1", f"NonIntegerChern: {exc}")
-            continue
-        data = {"chern": chern, "c1": chern.c1, "result": None}
-        report.c1_histogram[chern.c1] = report.c1_histogram.get(chern.c1, 0) + 1
+        result = refusal = None
         if need_result:
             try:
-                data["result"] = classify(rep, tol, spectra=spectra)
+                result = classify(rep, tol, spectra=spectra)
             except LogrootsError as exc:
-                _violation(report, i, "classification succeeds",
-                           f"{type(exc).__name__}: {exc}")
+                refusal = exc
+        if result is not None:
+            chern = result.chern
+        else:
+            try:
+                chern = chern_class(rep, tol, spectra=spectra)
+            except NonIntegerChern as exc:
+                _violation(report, i, "integer c1", f"NonIntegerChern: {exc}")
                 continue
+        report.c1_histogram[chern.c1] = report.c1_histogram.get(chern.c1, 0) + 1
+        if refusal is not None:
+            _violation(report, i, "classification succeeds",
+                       f"{type(refusal).__name__}: {refusal}")
+            continue
+        data = {"chern": chern, "c1": chern.c1, "result": result}
         for name in checks:
             if name in _NEEDS_RESULT and data["result"] is None:
                 continue

@@ -24,7 +24,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (DimensionError, InconsistentCertificate,
                      RelationViolated, SingularMatrix)
 from .exact import rational_angles
-from .linalg import BranchedEigenvalue, as_matrix, eigenvalues, _det
+from .linalg import (BranchedEigenvalue, as_matrix, eigenvalues, _det,
+                     _shifted)
 
 POLES = ("0", "1", "inf")
 
@@ -127,8 +128,9 @@ def inherit_spectra(parent: LocalSpectra, part: MonodromyRep,
     takes the parent's branch data, certified angles included.  Raises
     InconsistentCertificate where a match is missing or not unique.
     """
-    blocks = (np.linalg.eigvals(part.m0), np.linalg.eigvals(part.m1),
-              1.0 / np.linalg.eigvals(part.m0 @ part.m1))
+    e0, e1, e01 = np.linalg.eigvals(np.stack([part.m0, part.m1,
+                                               part.m0 @ part.m1]))
+    blocks = (e0, e1, 1.0 / e01)
     return LocalSpectra(tuple(_match(values, spectrum, tol, pole)
                               for values, spectrum, pole
                               in zip(blocks, parent.poles, POLES)),
@@ -166,9 +168,17 @@ def _subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
                   tol: Tolerances) -> list[InvariantSubspace]:
     """Common eigenvectors of (m0, m1), searched over the pairs of their
-    eigenvalues in ``spectra`` (a transpose has the same spectrum)."""
+    eigenvalues in ``spectra`` (a transpose has the same spectrum).
+
+    A pair (l, m) has a common eigenvector where the pencil
+    [m0 - l I; m1 - m I] has a null vector.  One SVD of the stack of all
+    pencils, singular values only, screens them; one SVD of the stack of
+    the pencils it passes factors those in full, and their own singular
+    values decide, pair by pair in ``itertools.product`` order.
+    """
     n = m0.shape[0]
     scale = max(np.linalg.norm(m0), np.linalg.norm(m1), 1.0)
+    thr = tol.eps_inv * scale
     found: list[InvariantSubspace] = []
 
     def _emit(vec: np.ndarray, non_isolated: bool):
@@ -185,12 +195,21 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
                                        residual_norm=res / scale,
                                        non_isolated=non_isolated))
 
-    for ev0, ev1 in itertools.product(*spectra.poles[:2]):
-        stacked = np.vstack([m0 - ev0.value * np.eye(n),
-                             m1 - ev1.value * np.eye(n)])
-        _, s, vh = np.linalg.svd(stacked)
-        thr = tol.eps_inv * scale
-        null = vh.conj().T[:, s <= thr]
+    top, bottom = (_shifted(m, [ev.value for ev in spectrum])
+                   for m, spectrum in zip((m0, m1), spectra.poles))
+    # pencil i pairs top[i // len(bottom)] with bottom[i % len(bottom)]
+    pencils = np.concatenate([np.repeat(top, len(bottom), axis=0),
+                              np.tile(bottom, (len(top), 1, 1))], axis=1)
+    # values alone come from another LAPACK path than a full factorization
+    # and may differ from its values in the last bits; the factor 2 keeps
+    # every pencil the full values would pass
+    least = np.linalg.svd(pencils, compute_uv=False)[:, -1]
+    passed = pencils[least <= 2.0 * thr]
+    if not len(passed):
+        return found
+    _, sv, vh = np.linalg.svd(passed)
+    for s, v in zip(sv, vh):
+        null = v.conj().T[:, s <= thr]
         if null.shape[1] == 0:
             continue
         if null.shape[1] == n:

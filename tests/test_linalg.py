@@ -5,6 +5,7 @@ for ranks, scipy.linalg.expm for the exp(log) round trip.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from logroots import DEFAULT, BranchedEigenvalue, eigenvalues, jordan_form, prin
 from logroots.errors import DimensionError, SingularMatrix
 from logroots.linalg import as_matrix, _branch_data, _rank
 
-from conftest import angle, random_invertible
+from conftest import angle, random_invertible, random_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,6 +200,59 @@ class TestJordanForm:
             n = int(rng.integers(1, 4))
             dec = jordan_form(random_invertible(rng, n))
             assert sum(size for _, size in dec.blocks) == n
+
+
+class TestJordanBasisChoice:
+    """The column of P for a simple eigenvalue is, bit for bit, the first
+    right singular vector of A - lambda I whose singular value is within
+    eps_rank of the scale, or else the least singular one."""
+
+    @staticmethod
+    def expected_column(a, lam, tol):
+        _, s, vh = np.linalg.svd(a - lam * np.eye(a.shape[0]))
+        thr = tol.eps_rank * max(np.linalg.norm(a), 1.0)
+        small = np.flatnonzero(s <= thr)
+        return vh[small[0] if small.size else -1].conj(), len(small)
+
+    @staticmethod
+    def column_of(dec, lam):
+        (k,) = [i for i, (ev, _) in enumerate(dec.blocks) if ev.value == lam]
+        return dec.P[:, k]
+
+    def test_least_singular_fallback(self, rng):
+        a = random_invertible(rng, 3)
+        spectrum = eigenvalues(a)
+        moved = dataclasses.replace(spectrum[1],
+                                    value=spectrum[1].value + 1e-6)
+        spectrum[1] = moved
+        dec = jordan_form(a, spectrum=spectrum)
+        for ev in spectrum:
+            want, n_small = self.expected_column(a, ev.value, DEFAULT)
+            assert n_small == (0 if ev is moved else 1)
+            assert np.array_equal(self.column_of(dec, ev.value), want)
+
+    def test_first_of_two_small_singular_values(self):
+        tol = DEFAULT.override(eps_cluster=0.0)
+        a = np.diag([2.0, 2.0 + 1e-14, 5.0]).astype(complex)
+        spectrum = eigenvalues(a, tol)
+        assert [ev.multiplicity for ev in spectrum] == [1, 1, 1]
+        dec = jordan_form(a, tol, spectrum)
+        counts = []
+        for ev in spectrum:
+            want, n_small = self.expected_column(a, ev.value, tol)
+            counts.append(n_small)
+            assert np.array_equal(self.column_of(dec, ev.value), want)
+        assert sorted(counts) == [1, 2, 2]
+
+    def test_cond_matches_numpy_eigenvectors(self, rng):
+        for _ in range(50):
+            q = random_unitary(rng, 3) @ np.diag(rng.uniform(0.5, 2.0, 3))
+            lam = np.exp(2j * np.pi * (np.arange(3) + rng.uniform(0, 0.5, 3)) / 3)
+            a = q @ np.diag(lam) @ np.linalg.inv(q)
+            dec = jordan_form(a)
+            assert dec.block_sizes == (1, 1, 1)
+            want = np.linalg.cond(np.linalg.eig(a)[1])
+            assert dec.cond_P == pytest.approx(want, rel=1e-6)
 
 
 class TestPrincipalLog:

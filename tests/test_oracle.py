@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from logroots import (
+    DEFAULT,
     MonodromyRep,
     SampleSpec,
     SplittingType,
@@ -85,6 +86,32 @@ class TestSampleAndCheck:
             assert len(calls) == 20
             assert all(np.array_equal(got.m0, rep.m0)
                        for got, rep in zip(calls, reps))
+
+    def test_one_degree_per_sample(self, monkeypatch):
+        # a classified sample's degree is the one its classification holds
+        degrees = count_calls(monkeypatch, "chern", "chern_class")
+        spec = SampleSpec(count=20, dim=3, ensemble="blockUpperTriangular",
+                          seed=8)
+        report = sample_and_check(spec, ["sum-rule", "integrality"])
+        assert report.ok and report.checks_run == 2 * 20
+        reps = list(sample_reps(spec))
+        own = [got for got in degrees
+               if any(np.array_equal(got.m0, rep.m0) for rep in reps)]
+        assert len(own) == 20
+
+    def test_non_integer_degree_is_one_violation(self):
+        # with eps_int = 0 some samples miss an integer by rounding; they
+        # are reported alike whether or not a check needs a classification
+        tol = DEFAULT.override(eps_int=0.0)
+        spec = SampleSpec(count=60, dim=2, ensemble="generic", seed=3)
+        alone = sample_and_check(spec, ["integrality"], tol)
+        classified = sample_and_check(spec, ["sum-rule", "integrality"], tol)
+        missed = [v for v in alone.violations if v["expected"] == "integer c1"]
+        assert missed and all("NonIntegerChern" in v["got"] for v in missed)
+        assert [v for v in classified.violations
+                if v["expected"] == "integer c1"] == missed
+        assert classified.c1_histogram == alone.c1_histogram
+        assert sum(alone.c1_histogram.values()) == 60 - len(missed)
 
     def test_branch_roundtrip_check(self):
         spec = SampleSpec(count=50, dim=3, ensemble="generic", seed=21)

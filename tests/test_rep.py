@@ -131,6 +131,26 @@ class TestCommonInvariantSubspaces:
         assert len(subs) == 2
         assert all(s.non_isolated for s in subs)
 
+    def test_two_dimensional_common_null_space(self, rng):
+        # the pair (2, 3) has a plane of common eigenvectors, (5, 7) a line
+        u = random_unitary(rng, 3)
+        rep = MonodromyRep(u @ np.diag([2.0, 2.0, 5.0]) @ u.conj().T,
+                           u @ np.diag([3.0, 3.0, 7.0]) @ u.conj().T)
+        lines = common_invariant_subspaces(rep, 1)
+        assert sorted(s.non_isolated for s in lines) == [False, True, True]
+        for sub in lines:
+            v = sub.basis[:, 0]
+            assert sub.residual_norm < 1e-12
+            for m in (rep.m0, rep.m1):
+                w = m @ v
+                assert np.linalg.norm(w - (v.conj() @ w) * v) < 1e-12
+            # a non-isolated line lies in the plane, the isolated one is u[:, 2]
+            overlap = abs(u[:, 2].conj() @ v)
+            assert overlap == pytest.approx(0.0 if sub.non_isolated else 1.0,
+                                            abs=1e-12)
+        planar = [s.basis[:, 0] for s in lines if s.non_isolated]
+        assert abs(planar[0].conj() @ planar[1]) < 1 - 1e-6
+
     def test_k_out_of_range(self):
         rep = trivial(2)
         with pytest.raises(DimensionError):

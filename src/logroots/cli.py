@@ -11,6 +11,8 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import io as lio
 from .classify import candidate_tree
 from .config import DEFAULT, TOLERANCE_NAMES, Tolerances
@@ -29,6 +31,17 @@ def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
         group.add_argument(flag, type=type(getattr(DEFAULT, name)),
                            dest=f"tol_{name}", default=None,
                            help=f"override {name} (default {getattr(DEFAULT, name)})")
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+    parse.__name__ = "integer"
+    return parse
 
 
 def _tolerances(args) -> Tolerances:
@@ -150,10 +163,10 @@ _DEFAULT_SUITE = (
 
 def _cmd_verify(args) -> int:
     tol = _tolerances(args)
-    if args.ensemble or args.dim or args.count or args.checks:
+    if args.ensemble or args.dim or args.count is not None or args.checks:
         ensemble = args.ensemble or "generic"
         dim = args.dim or 2
-        count = args.count or 1000
+        count = 1000 if args.count is None else args.count
         checks = args.checks or _default_checks(ensemble, dim)
         suite = [(ensemble, dim, count, checks)]
     else:
@@ -220,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chern)
 
     p = sub.add_parser("tree", help="enumerate the candidate weight tree")
-    p.add_argument("m", type=int, help="number of punctures (>= 2)")
-    p.add_argument("d", type=int, help="depth / dimension (>= 1)")
+    p.add_argument("m", type=_at_least(2), help="number of punctures (>= 2)")
+    p.add_argument("d", type=_at_least(1), help="depth / dimension (>= 1)")
     p.add_argument("c1", type=int, nargs="?", default=None,
                    help="solve for concrete roots with this degree")
     p.add_argument("--out", metavar="FILE")
@@ -230,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run sampling verification suites")
     p.add_argument("--ensemble", choices=ENSEMBLES)
     p.add_argument("--dim", type=int, choices=(1, 2, 3))
-    p.add_argument("--count", type=int)
+    p.add_argument("--count", type=_at_least(1),
+                   help="samples per suite (>= 1; default 1000)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checks", nargs="+", choices=sorted(CHECKS))
     p.add_argument("--out", metavar="FILE")
@@ -256,7 +270,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LogrootsError as exc:
+    # numpy's LinAlgError is a refusal of a rep, as in keep_going records
+    except (LogrootsError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -5,6 +5,14 @@ one ``classify`` result: its degree, composition, roots and the roots of
 its first sequence's sub and quotient (or of its summands), which
 ``classify`` classified from spectra inherited from the rep's own.
 
+A document's linear algebra is done first, for all its reps at once: the
+local spectra of every M0, M1 and M0*M1 in one LAPACK call per dimension
+(``rep.local_spectra_batch``), then the condition numbers of the Jordan
+bases behind ``low_confidence`` in two stacked SVDs per dimension
+(``linalg.jordan_cond_batch``).  The reps are then classified one by one.
+Each rep meets its own errors in the order a rep-by-rep run would, and a
+one-rep document is the single-rep case: ``classify_rep_to_json``.
+
 The schema files are the published contract.  Input is checked here
 without a schema library: the parser accepts and rejects exactly what
 the input schema does (a differential test holds it to jsonschema), and
@@ -30,8 +38,8 @@ from .chern import ChernData, chern_class
 from .classify import SplittingResult, classify
 from .config import DEFAULT, Tolerances
 from .errors import LogrootsError, SchemaError
-from .linalg import jordan_form
-from .rep import LocalSpectra, MonodromyRep, local_spectra
+from .linalg import _attempt, _value, jordan_cond_batch
+from .rep import MonodromyRep, local_spectra_batch
 
 VERSION = "1"
 
@@ -200,9 +208,16 @@ def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
                          exact: bool = False) -> dict:
     """Full per-rep output record: degree data, composition structure,
     splitting result, and quality flags, all read from one record of the
-    rep's local spectra."""
-    spectra = local_spectra(rep, tol, exact)
-    result = classify(rep, tol, spectra=spectra)
+    rep's local spectra.  The one-rep case of ``classify_document``."""
+    (record,) = classify_document([rep], tol, exact)["results"]
+    return record
+
+
+def _classify_record(rep: MonodromyRep, spectra, low_confidence,
+                     tol: Tolerances) -> dict:
+    """The record of ``rep`` from its outcomes of the document's stacked
+    passes: its ``LocalSpectra`` and its ``low_confidence`` flag."""
+    result = classify(rep, tol, spectra=_value(spectra))
     record = {
         "label": rep.label,
         "n": rep.n,
@@ -211,7 +226,7 @@ def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
         "result": result_to_json(result),
         "flags": {
             "branch_sensitive": result.chern.branch_sensitive,
-            "low_confidence": _low_confidence(rep, spectra, tol),
+            "low_confidence": _value(low_confidence),
             "non_isolated": result.non_isolated,
             "conjectural_notes": [n for n in result.notes if "conjectur" in n],
         },
@@ -226,14 +241,34 @@ def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     return record
 
 
-def _low_confidence(rep: MonodromyRep, spectra: LocalSpectra,
-                    tol: Tolerances) -> bool:
-    """Whether a Jordan basis of M0, M1 or M-infinity, read against that
-    pole's eigenvalues in ``spectra``, is worse conditioned than
-    ``tol.cond_max``."""
-    return any(jordan_form(m, tol, spectrum).low_confidence
-               for m, spectrum in zip((rep.m0, rep.m1, rep.m_infinity),
-                                      spectra.poles))
+def _low_confidence(reps: list[MonodromyRep], spectra: list,
+                    tol: Tolerances) -> list:
+    """Per rep, whether a Jordan basis of M0, M1 or M-infinity, built on
+    that pole's eigenvalues in the rep's spectra, is worse conditioned than
+    ``tol.cond_max``, from one ``jordan_cond_batch`` over all reps.  A
+    rep's entry is instead the exception met in reading its poles in turn
+    before a worse one, and None where the rep has no spectra."""
+    out: list = [None] * len(reps)
+    pairs, owners = [], []
+    for i, (rep, record) in enumerate(zip(reps, spectra)):
+        if isinstance(record, Exception):
+            continue
+        m_inf = _attempt(lambda: rep.m_infinity)
+        if isinstance(m_inf, Exception):
+            out[i] = m_inf
+            continue
+        pairs.extend(zip((rep.m0, rep.m1, m_inf), record.poles))
+        owners.append(i)
+    conds = jordan_cond_batch(pairs, tol)
+    for k, i in enumerate(owners):
+        out[i] = _attempt(_worse_than, conds[3 * k:3 * k + 3], tol.cond_max)
+    return out
+
+
+def _worse_than(conds: list, cond_max: float) -> bool:
+    """Whether a cond(P) of ``conds`` exceeds ``cond_max``, read in turn;
+    a failure met before one does is raised."""
+    return any(_value(cond) > cond_max for cond in conds)
 
 
 # numpy raises LinAlgError where LAPACK fails to converge or a change of
@@ -241,13 +276,15 @@ def _low_confidence(rep: MonodromyRep, spectra: LocalSpectra,
 _REP_ERRORS = (LogrootsError, np.linalg.LinAlgError)
 
 
-def _document(reps: list[MonodromyRep], record, keep_going: bool) -> dict:
-    """The output document of ``record(rep)`` per rep; with keep_going, a
-    rep that fails becomes an error record instead of aborting the batch."""
+def _document(reps: list[MonodromyRep], record, keep_going: bool,
+              *outcomes: list) -> dict:
+    """The output document of ``record(rep, *outcome)`` per rep, each
+    outcome the rep's entry of a stacked pass; with keep_going, a rep that
+    fails becomes an error record instead of aborting the batch."""
     results = []
-    for rep in reps:
+    for rep, *outcome in zip(reps, *outcomes):
         try:
-            results.append(record(rep))
+            results.append(record(rep, *outcome))
         except _REP_ERRORS as exc:
             if not keep_going:
                 raise
@@ -262,18 +299,25 @@ def _document(reps: list[MonodromyRep], record, keep_going: bool) -> dict:
 def classify_document(reps: list[MonodromyRep], tol: Tolerances = DEFAULT,
                       exact: bool = False, keep_going: bool = False) -> dict:
     """Batch-classify; with keep_going, failures become per-rep error
-    objects instead of aborting the batch."""
+    objects instead of aborting the batch.
+
+    The linear algebra of all reps comes first, in stacked calls: their
+    local spectra, then the conditioning of their Jordan bases.  Each rep
+    is then classified on its own and meets its errors in the order a
+    rep-by-rep run would: its spectra, its classification, then the
+    conditioning."""
+    spectra = local_spectra_batch(reps, tol, exact)
     return _document(
-        reps, lambda rep: classify_rep_to_json(rep, tol, exact=exact),
-        keep_going)
+        reps, lambda rep, s, low: _classify_record(rep, s, low, tol),
+        keep_going, spectra, _low_confidence(reps, spectra, tol))
 
 
 def chern_document(reps: list[MonodromyRep], tol: Tolerances = DEFAULT,
                    exact: bool = False, keep_going: bool = False) -> dict:
-    """Degree data per rep, with the same error records as
-    ``classify_document``."""
-    return _document(reps, lambda rep: {
+    """Degree data per rep, from the same stacked pass over the local
+    spectra and with the same error records as ``classify_document``."""
+    return _document(reps, lambda rep, s: {
         "label": rep.label,
         "n": rep.n,
-        "chern": chern_to_json(chern_class(rep, tol, exact=exact)),
-    }, keep_going)
+        "chern": chern_to_json(chern_class(rep, tol, spectra=_value(s))),
+    }, keep_going, local_spectra_batch(reps, tol, exact))

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DimensionError, SingularMatrix
+from .errors import DimensionError, LogrootsError, SingularMatrix
 
 _TWO_PI = 2.0 * math.pi
 
@@ -100,19 +100,9 @@ def _branch_data(value: complex, tol: Tolerances) -> tuple[float, float, bool]:
     return r, q, sensitive
 
 
-def eigenvalues(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
-    """Eigenvalues of an invertible matrix with principal-branch data.
-
-    Values closer than ``tol.eps_cluster`` (relative to the spectral radius)
-    are merged into a single entry with summed multiplicity; the Jordan
-    structure downstream depends on this explicit decision.
-    """
-    a = as_matrix(a)
-    _check_invertible(a, tol)
-    if a.shape[0] == 1:
-        raw = [complex(a[0, 0])]
-    else:
-        raw = np.linalg.eigvals(a).tolist()
+def _branched(raw: list[complex], tol: Tolerances) -> list[BranchedEigenvalue]:
+    """Merge the eigenvalues ``raw`` of one matrix into clusters and give
+    each its branch data, sorted by (q, r)."""
     radius = max(abs(z) for z in raw)
     cut = tol.eps_cluster * radius
     clusters: list[list[complex]] = []
@@ -134,6 +124,72 @@ def eigenvalues(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
                                       branch_sensitive=sensitive))
     out.sort(key=lambda ev: (ev.q, ev.r))
     return out
+
+
+def eigenvalues(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
+    """Eigenvalues of an invertible matrix with principal-branch data.
+
+    Values closer than ``tol.eps_cluster`` (relative to the spectral radius)
+    are merged into a single entry with summed multiplicity; the Jordan
+    structure downstream depends on this explicit decision.
+    """
+    a = as_matrix(a)
+    _check_invertible(a, tol)
+    if a.shape[0] == 1:
+        raw = [complex(a[0, 0])]
+    else:
+        raw = np.linalg.eigvals(a).tolist()
+    return _branched(raw, tol)
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the error it raised, for a caller that raises it
+    in its own turn (``_value``): a refusal of the program's or of numpy's
+    (numpy's LinAlgError is a ValueError, as is ``as_matrix``'s refusal of
+    a non-finite matrix)."""
+    try:
+        return fn(*args)
+    except (LogrootsError, ValueError) as exc:
+        return exc
+
+
+def _value(outcome):
+    """The value of an ``_attempt``, or the error it holds, raised now."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def eigenvalues_batch(mats, tol: Tolerances = DEFAULT) -> list:
+    """``eigenvalues(m, tol)`` for each matrix of ``mats``, or the exception
+    it raises, with one LAPACK call for all matrices of a dimension n > 1.
+
+    Each matrix gets its own invertibility check, and its eigenvalues are
+    merged and branched as ``eigenvalues`` does; 1x1 matrices are read
+    directly.  Where the stacked call raises ``LinAlgError`` (or refuses
+    a non-finite matrix), each matrix of the stack is solved on its own.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape[0], []).append(i)
+    out: list = [None] * len(mats)
+    for n, idx in groups.items():
+        raws = None
+        if n > 1:
+            try:
+                raws = np.linalg.eigvals(np.stack([mats[i] for i in idx]))
+            except np.linalg.LinAlgError:
+                pass
+        for k, i in enumerate(idx):
+            out[i] = _attempt(eigenvalues, mats[i], tol) if raws is None \
+                else _attempt(_solved, mats[i], raws[k], tol)
+    return out
+
+
+def _solved(a: np.ndarray, raw: np.ndarray,
+            tol: Tolerances) -> list[BranchedEigenvalue]:
+    _check_invertible(a, tol)
+    return _branched(raw.tolist(), tol)
 
 
 def _rank(m: np.ndarray, tol: Tolerances, scale: float) -> int:
@@ -169,22 +225,34 @@ class JordanDecomposition:
 
 
 def _shifted(a: np.ndarray, values) -> np.ndarray:
-    """The stack of A - lambda I over ``values``."""
-    return a - np.asarray(values)[:, None, None] * np.eye(a.shape[0])
+    """The stack of A - lambda I over ``values``; for a stack of matrices
+    A, one such stack per A over its own row of ``values``."""
+    return a[..., None, :, :] \
+        - np.asarray(values)[..., None, None] * np.eye(a.shape[-1])
 
 
-def _simple_eigenvectors(a: np.ndarray, values: list[complex],
-                         tol: Tolerances) -> np.ndarray:
-    """Null vectors of A - lambda I for simple eigenvalues, as rows, from
-    one SVD of the stack of those matrices: per eigenvalue, the first
-    right singular vector whose singular value is within ``tol.eps_rank``
-    of the scale, or else the least singular direction."""
-    scale = max(np.linalg.norm(a), 1.0)
-    thr = tol.eps_rank * max(scale, 1e-300)
-    _, s, vh = np.linalg.svd(_shifted(a, values))
-    small = s <= thr
+def _rank_threshold(a: np.ndarray, tol: Tolerances) -> float:
+    return tol.eps_rank * max(np.linalg.norm(a), 1.0)
+
+
+def _simple_eigenvectors(shifted: np.ndarray, thr) -> np.ndarray:
+    """Null vectors, as rows, of a stack of A - lambda I over simple
+    eigenvalues, from one SVD of the stack: per matrix, the first right
+    singular vector whose singular value is within its ``thr`` (the
+    ``tol.eps_rank`` share of its A's scale), or else the least singular
+    direction."""
+    _, s, vh = np.linalg.svd(shifted)
+    small = s <= np.reshape(thr, (-1, 1))
     pick = np.where(small.any(axis=1), small.argmax(axis=1), s.shape[1] - 1)
-    return vh[np.arange(len(values)), pick].conj()
+    return vh[np.arange(len(shifted)), pick].conj()
+
+
+def _conds(ps: np.ndarray) -> np.ndarray:
+    """The 2-norm condition number of each matrix of a stack, s[0]/s[-1]
+    of its singular values, as ``np.linalg.cond`` computes it."""
+    s = np.linalg.svd(ps, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        return s[:, 0] / s[:, -1]
 
 
 def _chains_for_eigenvalue(a: np.ndarray, ev: BranchedEigenvalue,
@@ -241,6 +309,10 @@ def _chains_for_eigenvalue(a: np.ndarray, ev: BranchedEigenvalue,
     return [chain, [w / np.linalg.norm(w)]]
 
 
+def _by_q(spectrum) -> list[BranchedEigenvalue]:
+    return sorted(spectrum, key=lambda ev: (ev.q, ev.r))
+
+
 def jordan_form(a, tol: Tolerances = DEFAULT,
                 spectrum: Optional[Iterable[BranchedEigenvalue]] = None
                 ) -> JordanDecomposition:
@@ -249,17 +321,20 @@ def jordan_form(a, tol: Tolerances = DEFAULT,
     The eigenvalues are ``spectrum``, A's own (such as one pole of a rep's
     local spectra), or computed here when not given.  The eigenvectors of
     all simple eigenvalues come from one SVD of the stack of their
-    (A - lambda I); a repeated eigenvalue takes its geometric multiplicity
-    and chains from SVD ranks of (A - lambda I)^k.  When cond(P) exceeds
+    (A - lambda I), the step ``jordan_cond_batch`` takes for many matrices
+    at once; a repeated eigenvalue takes its geometric multiplicity and
+    chains from SVD ranks of (A - lambda I)^k.  When cond(P) exceeds
     ``tol.cond_max`` the result is flagged low-confidence rather than
     rejected.
     """
     a = as_matrix(a)
     if spectrum is None:
         spectrum = eigenvalues(a, tol)
-    spectrum = sorted(spectrum, key=lambda ev: (ev.q, ev.r))
+    spectrum = _by_q(spectrum)
     simple = [ev.value for ev in spectrum if ev.multiplicity == 1]
-    vecs = iter(_simple_eigenvectors(a, simple, tol) if simple else ())
+    vecs = iter(_simple_eigenvectors(_shifted(a, simple),
+                                     _rank_threshold(a, tol))
+                if simple else ())
     cols = []
     blocks = []
     for ev in spectrum:
@@ -281,9 +356,59 @@ def jordan_form(a, tol: Tolerances = DEFAULT,
             if i + 1 < size:
                 j[pos + i, pos + i + 1] = 1.0
         pos += size
-    cond = float(np.linalg.cond(p))
+    cond = float(_conds(p[None])[0])
     return JordanDecomposition(P=p, J=j, blocks=tuple(blocks), cond_P=cond,
                                low_confidence=cond > tol.cond_max)
+
+
+def jordan_cond_batch(pairs, tol: Tolerances = DEFAULT) -> list:
+    """``jordan_form(a, tol, spectrum).cond_P`` for each (a, spectrum) of
+    ``pairs``, or the exception that raises.
+
+    Where every eigenvalue of a matrix is simple, its Jordan basis P is
+    its eigenvectors, taken as ``jordan_form`` takes them; the matrices of
+    a dimension share one SVD for all their (A - lambda I) and one for all
+    their P.  A matrix with a repeated eigenvalue goes through
+    ``jordan_form``, and so does each matrix of a stack whose SVD raises
+    ``LinAlgError``.
+    """
+    out: list = [None] * len(pairs)
+    groups: dict[int, list] = {}
+    for i, (a, spectrum) in enumerate(pairs):
+        a = _attempt(as_matrix, a)
+        if isinstance(a, Exception):
+            out[i] = a
+            continue
+        spectrum = _by_q(spectrum)
+        if all(ev.multiplicity == 1 for ev in spectrum):
+            groups.setdefault(a.shape[0], []).append((i, a, spectrum))
+        else:
+            out[i] = _attempt(_cond_P, a, tol, spectrum)
+    for n, group in groups.items():
+        try:
+            conds = _simple_conds(group, n, tol)
+        except np.linalg.LinAlgError:
+            conds = [_attempt(_cond_P, a, tol, spectrum)
+                     for _, a, spectrum in group]
+        for (i, _, _), cond in zip(group, conds):
+            out[i] = cond
+    return out
+
+
+def _cond_P(a: np.ndarray, tol: Tolerances,
+            spectrum: list[BranchedEigenvalue]) -> float:
+    return jordan_form(a, tol, spectrum).cond_P
+
+
+def _simple_conds(group, n: int, tol: Tolerances) -> list[float]:
+    """cond(P) for matrices with n simple eigenvalues each: P's columns are
+    the eigenvectors in the order of the spectrum."""
+    shifted = _shifted(np.stack([a for _, a, _ in group]),
+                       [[ev.value for ev in spectrum]
+                        for _, _, spectrum in group]).reshape(-1, n, n)
+    thr = np.repeat([_rank_threshold(a, tol) for _, a, _ in group], n)
+    vecs = _simple_eigenvectors(shifted, thr)
+    return _conds(vecs.reshape(-1, n, n).transpose(0, 2, 1)).tolist()
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ class SampleSpec:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2 or 3")
+        if self.count < 0:
+            raise ValueError(f"count {self.count} is negative")
 
 
 @dataclass

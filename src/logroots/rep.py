@@ -24,8 +24,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (DimensionError, InconsistentCertificate,
                      RelationViolated, SingularMatrix)
 from .exact import rational_angles
-from .linalg import (BranchedEigenvalue, as_matrix, eigenvalues, _det,
-                     _shifted)
+from .linalg import (BranchedEigenvalue, as_matrix, eigenvalues_batch,
+                     _attempt, _det, _shifted, _value)
 
 POLES = ("0", "1", "inf")
 
@@ -87,12 +87,41 @@ def local_spectra(rep: MonodromyRep, tol: Tolerances = DEFAULT,
                   exact: bool = False) -> LocalSpectra:
     """The rep's three local spectra: from LAPACK, or certified in exact
     mode.  Both routes refuse a matrix that is singular within
-    ``tol.eps_sing``."""
-    eig = rational_angles if exact else eigenvalues
-    s0 = tuple(eig(rep.m0, tol))
-    s1 = tuple(eig(rep.m1, tol))
-    s_inf = tuple(ev.inverse() for ev in eig(rep.m0 @ rep.m1, tol))
-    return LocalSpectra((s0, s1, s_inf), exact)
+    ``tol.eps_sing``.  The one-rep case of ``local_spectra_batch``."""
+    (spectra,) = local_spectra_batch([rep], tol, exact)
+    return _value(spectra)
+
+
+def local_spectra_batch(reps, tol: Tolerances = DEFAULT,
+                        exact: bool = False) -> list:
+    """The local spectra of each rep of ``reps``, or the exception that
+    computing them raised: the first of M0, M1 and M0*M1 to fail.
+
+    In float mode the spectra of every rep's M0, M1 and M0*M1 come from
+    one ``eigenvalues_batch``, one LAPACK call per dimension.  Exact mode
+    certifies each matrix with ``rational_angles``, rep by rep, and
+    stops at a rep's first failure.
+    """
+    if exact:
+        return [_attempt(_certified_spectra, rep, tol) for rep in reps]
+    solved = eigenvalues_batch([m for rep in reps
+                                for m in (rep.m0, rep.m1, rep.m0 @ rep.m1)],
+                               tol)
+    return [_attempt(_spectra, *solved[k:k + 3], False)
+            for k in range(0, len(solved), 3)]
+
+
+def _certified_spectra(rep: MonodromyRep, tol: Tolerances) -> LocalSpectra:
+    return _spectra(rational_angles(rep.m0, tol), rational_angles(rep.m1, tol),
+                    rational_angles(rep.m0 @ rep.m1, tol), True)
+
+
+def _spectra(s0, s1, s01, exact: bool) -> LocalSpectra:
+    """The record of the spectra of M0, M1 and M0*M1, or of their
+    ``_attempt`` outcomes, of which the first failure is raised; the
+    spectrum at infinity inverts that of M0*M1."""
+    return LocalSpectra((tuple(_value(s0)), tuple(_value(s1)),
+                         tuple(ev.inverse() for ev in _value(s01))), exact)
 
 
 def _match(values, spectrum: tuple[BranchedEigenvalue, ...],

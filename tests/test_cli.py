@@ -78,6 +78,25 @@ class TestClassify:
         (rec,) = json.loads(capsys.readouterr().out)["results"]
         assert rec["error"]["type"] == "SingularMatrix"
 
+    def test_linalg_error_is_computation_error(self, pslz_path, monkeypatch,
+                                               capsys):
+        # LAPACK's refusal of a rep exits 3 like the program's own, with
+        # or without --keep-going
+        import numpy as np
+        import logroots.linalg as llinalg
+
+        def failing(a, tol=None, spectrum=None):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        # pslz-section5 has repeated eigenvalues: its Jordan bases are
+        # built by jordan_form
+        monkeypatch.setattr(llinalg, "jordan_form", failing)
+        assert main(["classify", pslz_path]) == 3
+        assert "LinAlgError: SVD did not converge" in capsys.readouterr().err
+        assert main(["classify", pslz_path, "--keep-going"]) == 3
+        (rec,) = json.loads(capsys.readouterr().out)["results"]
+        assert rec["error"]["type"] == "LinAlgError"
+
 
 class TestRuntimeDependencies:
     def test_classify_runs_without_jsonschema(self, tmp_path):
@@ -129,6 +148,13 @@ class TestTree:
         doc = json.loads(capsys.readouterr().out)
         assert doc["conjectural"] is True
 
+    @pytest.mark.parametrize("args", [["1", "2"], ["3", "0"], ["x", "2"]])
+    def test_out_of_range_is_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tree", *args])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_ensemble(self, capsys):
@@ -142,6 +168,20 @@ class TestVerify:
                      "--count", "30", "--seed", "2", "--out", str(out)]) == 0
         reports = json.loads(out.read_text())
         assert reports[0]["ok"] is True
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_is_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--count", count])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+
+    def test_count_alone_selects_one_suite(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--count", "3", "--out", str(out)]) == 0
+        (report,) = json.loads(out.read_text())
+        assert report["spec"]["count"] == 3
+        assert report["spec"]["ensemble"] == "generic"
 
     def test_explicit_checks(self, capsys):
         assert main(["verify", "--ensemble", "generic", "--dim", "3",

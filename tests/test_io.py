@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from logroots import parse_input_document, preset
+from logroots import DEFAULT, parse_input_document, preset
 from logroots.errors import SchemaError
 from logroots.io import (
     chern_document,
@@ -161,13 +161,30 @@ class TestOutputDocuments:
         assert [np.shape(a) for a in calls] == [(3, 3)] * 3
 
     def test_float_document_computes_three_spectra(self, monkeypatch):
-        # the record's spectra at 0, 1 and infinity are the only eigenvalue
-        # computations; the Jordan bases behind low_confidence read them
+        # each rep's M0, M1 and M0*M1 are solved once, in one LAPACK call
+        # for all 3x3 matrices of the document; the Jordan bases behind
+        # low_confidence and the inherited spectra of the parts read them
+        eigvals = np.linalg.eigvals
+        solved = []
+
+        def spy(a):
+            solved.append(np.array(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
         calls = count_calls(monkeypatch, "linalg", "eigenvalues")
-        reps = parse_input_document(preset("pslz-section5"))
-        (rec,) = classify_document(reps)["results"]
-        assert rec["result"]["canonical"] == ["(0,-1,-2)"]
-        assert [np.shape(a) for a in calls] == [(3, 3)] * 3
+        reps = parse_input_document(preset("pslz-section5")) * 2
+        for rec in classify_document(reps)["results"]:
+            assert rec["result"]["canonical"] == ["(0,-1,-2)"]
+        assert calls == []
+        (stack,) = [a for a in solved if a.shape[-2:] == (3, 3)]
+        want = [m for rep in reps for m in (rep.m0, rep.m1, rep.m0 @ rep.m1)]
+        assert len(stack) == len(want)
+        for got, m in zip(stack, want):
+            assert np.array_equal(got, m)
+        # the parts' spectra come from 2x2 and 1x1 stacks only
+        assert all(a.ndim == 3 and a.shape[-1] < 3 for a in solved
+                   if a is not stack)
 
     def test_ill_conditioned_jordan_basis_is_low_confidence(self):
         # M0 = [[1, t], [0, 1 + g]] has eigenvectors (1, 0) and about
@@ -215,29 +232,144 @@ class TestOutputDocuments:
         assert kinds == [False, True]
         assert doc["results"][1]["error"]["type"] == "NonIntegerChern"
 
+    @staticmethod
+    def fail_on(monkeypatch, name: str, marked: list) -> None:
+        """Make ``np.linalg.<name>`` raise LinAlgError on any input that
+        holds one of the ``marked`` matrices, a stack or a single one."""
+        real = getattr(np.linalg, name)
+
+        def failing(a, *args, **kwargs):
+            a = np.asarray(a)
+            if any(a.shape[-2:] == m.shape
+                   and np.any(np.all(a.reshape(-1, *m.shape) == m,
+                                     axis=(1, 2))) for m in marked):
+                raise np.linalg.LinAlgError("injected")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, failing)
+
     def test_keep_going_records_linalg_error(self, monkeypatch):
-        # numpy's LinAlgError in one rep is recorded and the batch goes on
-        import logroots.io as lio
+        # a LinAlgError from one matrix of a multi-rep stack is recorded
+        # for the rep that holds it alone, and the batch goes on; this
+        # holds for the stacked spectra and for the stacked conditioning
+        import logroots.linalg as llinalg
+        from logroots import MonodromyRep, local_spectra
+        from logroots.io import classify_rep_to_json
+        from conftest import random_invertible
+        rng = np.random.default_rng(7)
+        reps = [MonodromyRep(random_invertible(rng, n),
+                             random_invertible(rng, n), label=f"r{i}")
+                for i, n in enumerate((3, 2, 3, 3, 2))]
+        bad = reps[2]
+        alone = [classify_rep_to_json(rep) for rep in reps]
+        spectrum = llinalg._by_q(local_spectra(bad).poles[1])
+        injections = [
+            # the stacked eigvals of the 3x3 matrices holds bad's M1
+            ("eigvals", [bad.m1]),
+            # the stacked SVD of every simple (A - lambda I) of the 3x3
+            # matrices holds those of bad's M1
+            ("svd", list(llinalg._shifted(
+                bad.m1, [ev.value for ev in spectrum]))),
+        ]
+        for name, marked in injections:
+            with monkeypatch.context() as patch:
+                self.fail_on(patch, name, marked)
+                with pytest.raises(np.linalg.LinAlgError):
+                    classify_document(reps)
+                doc = classify_document(reps, keep_going=True)
+            jsonschema.validate(doc, output_schema())
+            for rep, rec, lone in zip(reps, doc["results"], alone):
+                if rep is bad:
+                    assert rec == {"label": "r2", "n": 3, "error": {
+                        "type": "LinAlgError", "message": "injected"}}, name
+                else:
+                    assert rec == lone, name
+
+    @staticmethod
+    def mixed_reps(exact: bool):
+        """Reps of dims 1, 2 and 3: presets, a scalar triple, a rep with an
+        ill-conditioned Jordan basis, random ones and a singular one."""
         from logroots import MonodromyRep
-        good = MonodromyRep(np.diag([1, -1]), np.array([[-1, 1], [0, 1]]),
-                            label="good")
-        bad = MonodromyRep(np.diag([1j, 1, -1]), np.diag([-1j, 1, -1]),
-                           label="bad")
-        jordan_form = lio.jordan_form
+        from conftest import random_invertible
+        rng = np.random.default_rng(11)
+        w, z = angle(1 / 3), angle(1 / 5)
+        reps = (parse_input_document(preset("pslz-section5"))
+                + parse_input_document(preset("aux-character"))
+                + [MonodromyRep(w * np.eye(3), z * np.eye(3), label="scalar"),
+                   MonodromyRep(np.diag([1.0, 1e-13]), np.eye(2),
+                                label="singular")])
+        if not exact:
+            reps.append(MonodromyRep(np.array([[1, 1e3], [0, 1 + 1e-6]]),
+                                     np.array([[0, 1], [1, 0]]), label="ill"))
+        # in exact mode these are refused as not rational-angle reps
+        reps += [MonodromyRep(random_invertible(rng, n),
+                              random_invertible(rng, n), label=f"r{i}")
+                 for i, n in enumerate((1, 2, 3, 3, 2, 1, 3))]
+        return reps
 
-        def failing_for_dim3(m, tol, spectrum):
-            if m.shape[0] == 3:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return jordan_form(m, tol, spectrum)
-
-        monkeypatch.setattr(lio, "jordan_form", failing_for_dim3)
-        with pytest.raises(np.linalg.LinAlgError):
-            classify_document([good, bad])
-        doc = classify_document([good, bad], keep_going=True)
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_document_records_equal_lone_records(self, exact):
+        # the stacked pass changes no record: each equals the record of
+        # its rep classified alone, errors included, and low_confidence
+        # is what the rep's three Jordan forms say
+        from logroots import jordan_form, local_spectra
+        reps = self.mixed_reps(exact)
+        doc = classify_document(reps, exact=exact, keep_going=True)
         jsonschema.validate(doc, output_schema())
-        first, second = doc["results"]
-        assert first["result"]["canonical"] == ["(-1,-1)"]
-        assert second["error"]["type"] == "LinAlgError"
+        flagged = errors = 0
+        for rep, rec in zip(reps, doc["results"]):
+            (lone,) = classify_document([rep], exact=exact,
+                                        keep_going=True)["results"]
+            assert rec == lone, rep.label
+            if "error" in rec:
+                errors += 1
+                continue
+            spectra = local_spectra(rep, exact=exact)
+            low = any(jordan_form(m, DEFAULT, spectrum).low_confidence
+                      for m, spectrum in zip((rep.m0, rep.m1, rep.m_infinity),
+                                             spectra.poles))
+            assert rec["flags"]["low_confidence"] is low
+            flagged += low
+        assert doc["results"][0]["result"]["canonical"] == ["(0,-1,-2)"]
+        assert doc["results"][3]["error"]["type"] == "SingularMatrix"
+        assert flagged == (0 if exact else 1)
+        assert errors == (8 if exact else 1)
+
+    def test_rep_errors_keep_their_order(self, monkeypatch):
+        # per rep: the spectra error, then the classify error, then the
+        # conditioning error; without keep_going the first rep's is raised
+        import logroots.io as lio
+        import logroots.linalg as llinalg
+        from logroots import MonodromyRep
+        from logroots.errors import NonIntegerChern, SingularMatrix
+        pslz = parse_input_document(preset("pslz-section5"))[0]
+        singular = MonodromyRep(np.diag([1.0, 1.0, 1e-13]), np.eye(3),
+                                label="singular")
+        classify = lio.classify
+
+        def refusing(rep, tol, spectra):
+            if rep.label == "refused":
+                raise NonIntegerChern("refused")
+            return classify(rep, tol, spectra=spectra)
+
+        def failing(a, tol=DEFAULT, spectrum=None):
+            raise np.linalg.LinAlgError("conditioning")
+
+        monkeypatch.setattr(lio, "classify", refusing)
+        # pslz-section5 has repeated eigenvalues: its poles go through
+        # jordan_form
+        monkeypatch.setattr(llinalg, "jordan_form", failing)
+        refused = MonodromyRep(pslz.m0, pslz.m1, label="refused")
+        reps = [pslz, refused, singular]
+        results = classify_document(reps, keep_going=True)["results"]
+        assert [r["error"]["type"] for r in results] == [
+            "LinAlgError", "NonIntegerChern", "SingularMatrix"]
+        with pytest.raises(np.linalg.LinAlgError):
+            classify_document(reps)
+        with pytest.raises(NonIntegerChern):
+            classify_document(reps[1:])
+        with pytest.raises(SingularMatrix):
+            classify_document(reps[::-1])
 
     def test_chern_document_records_linalg_error(self, monkeypatch):
         # chern_document records the same per-rep errors as classify_document
@@ -246,10 +378,10 @@ class TestOutputDocuments:
             + parse_input_document(preset("pslz-section5"))
         chern_class = lio.chern_class
 
-        def failing_for_dim3(rep, tol, exact=False):
+        def failing_for_dim3(rep, tol, exact=False, spectra=None):
             if rep.n == 3:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return chern_class(rep, tol, exact=exact)
+            return chern_class(rep, tol, exact=exact, spectra=spectra)
 
         monkeypatch.setattr(lio, "chern_class", failing_for_dim3)
         with pytest.raises(np.linalg.LinAlgError):

@@ -255,6 +255,69 @@ class TestJordanBasisChoice:
             assert dec.cond_P == pytest.approx(want, rel=1e-6)
 
 
+class TestStackedPasses:
+    """The stacked passes equal their one-matrix functions bit for bit."""
+
+    @staticmethod
+    def matrices(rng):
+        mats = [random_invertible(rng, n) for n in (1, 2, 3) for _ in range(60)]
+        for _ in range(20):
+            c = random_invertible(rng, 3)
+            ci = np.linalg.inv(c)
+            lam = angle(rng.uniform())
+            mats += [
+                # repeated, diagonalizable
+                c @ np.diag([lam, lam, 2.0]) @ ci,
+                # defective: blocks {2, 1} and {3}
+                c @ np.array([[lam, 1, 0], [0, lam, 0], [0, 0, -1]]) @ ci,
+                c @ np.array([[lam, 1, 0], [0, lam, 1], [0, 0, lam]]) @ ci,
+                # ill-conditioned: nearly parallel eigenvectors
+                np.array([[1, 10 ** rng.uniform(2, 5)],
+                          [0, 1 + 10 ** -rng.uniform(3, 6)]], dtype=complex),
+            ]
+        return mats
+
+    def test_cond_batch_is_jordan_form_cond_bitwise(self, rng):
+        from logroots.linalg import jordan_cond_batch
+        mats = self.matrices(rng)
+        pairs = [(m, eigenvalues(m)) for m in mats]
+        conds = jordan_cond_batch(pairs, DEFAULT)
+        kinds = set()
+        for (m, spectrum), cond in zip(pairs, conds):
+            dec = jordan_form(m, DEFAULT, spectrum)
+            assert type(cond) is float
+            assert cond == dec.cond_P
+            # and the same value as numpy's own condition number
+            assert cond == np.linalg.cond(dec.P)
+            kinds.add((max(ev.multiplicity for ev in spectrum) > 1,
+                       dec.low_confidence))
+        # simple and repeated spectra, well and ill conditioned bases
+        assert kinds >= {(False, False), (True, False), (False, True)}
+
+    def test_cond_batch_keeps_each_matrix_error(self, rng):
+        from logroots.linalg import jordan_cond_batch
+        good = random_invertible(rng, 2)
+        bad = np.array([[np.inf, 0], [0, 1]], dtype=complex)
+        out = jordan_cond_batch([(good, eigenvalues(good)),
+                                 (bad, eigenvalues(good))], DEFAULT)
+        assert out[0] == jordan_form(good).cond_P
+        assert isinstance(out[1], ValueError)
+
+    def test_eigenvalue_batch_is_eigenvalues(self, rng):
+        from logroots.linalg import eigenvalues_batch
+        mats = self.matrices(rng)
+        singular = np.diag([1.0, 1e-13]).astype(complex)
+        # LAPACK refuses a stack that holds it, so its stack is redone
+        # matrix by matrix
+        infinite = np.diag([np.inf, 1.0, 1.0]).astype(complex)
+        mats[5:5] = [singular, infinite]
+        out = eigenvalues_batch(mats, DEFAULT)
+        assert isinstance(out[5], SingularMatrix)
+        assert isinstance(out[6], ValueError)
+        for m, got in zip(mats[:5] + mats[7:], out[:5] + out[7:]):
+            assert got == eigenvalues(m)
+
+
 class TestPrincipalLog:
     def test_exp_round_trip_against_scipy(self, rng):
         for _ in range(300):

@@ -59,6 +59,11 @@ class TestEnsembles:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            SampleSpec(count=-5, dim=2)
+        assert list(sample_reps(SampleSpec(count=0, dim=2))) == []
+
 
 class TestSampleAndCheck:
     def test_all_checks_clean_on_seeded_batch(self):

@@ -26,6 +26,7 @@ from .errors import (
     ExactModeError,
     InconsistentCertificate,
     LogrootsError,
+    NonFiniteMatrix,
     NonIntegerChern,
     ProvenBoundViolated,
     RelationViolated,
@@ -88,6 +89,7 @@ __all__ = [
     "LocalSpectra",
     "LogrootsError",
     "MonodromyRep",
+    "NonFiniteMatrix",
     "NonIntegerChern",
     "OracleReport",
     "PRESETS",

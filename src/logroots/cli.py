@@ -11,12 +11,11 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import io as lio
 from .classify import candidate_tree
 from .config import DEFAULT, TOLERANCE_NAMES, Tolerances
-from .errors import LogrootsError, SchemaError
+from .errors import SchemaError
+from .linalg import _REP_ERRORS
 from .oracle import CHECKS, ENSEMBLES, SampleSpec, sample_and_check
 from .presets import PRESETS, preset
 
@@ -271,7 +270,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # numpy's LinAlgError is a refusal of a rep, as in keep_going records
-    except (LogrootsError, np.linalg.LinAlgError) as exc:
+    except _REP_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -58,8 +58,6 @@ class Tolerances:
     cond_max: float = 1e8
     # largest denominator tried when recognizing rational branch angles
     max_denominator: int = 4096
-    # working precision (decimal digits) of the exact-mode verification
-    exact_dps: int = 60
 
     def __post_init__(self):
         for f in fields(self):

@@ -13,6 +13,11 @@ class DimensionError(LogrootsError):
     """Dimension outside the supported range or inconsistent with the input."""
 
 
+class NonFiniteMatrix(LogrootsError, ValueError):
+    """A matrix has an infinite or NaN entry, such as a product of finite
+    generators that overflows."""
+
+
 class InconsistentCertificate(LogrootsError):
     """The subspace search and the sigma certificate disagree about
     irreducibility, or a sub, quotient or summand has a block eigenvalue

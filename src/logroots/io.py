@@ -7,8 +7,9 @@ its first sequence's sub and quotient (or of its summands), which
 
 A document's linear algebra is done first, for all its reps at once: the
 local spectra of every M0, M1 and M0*M1 in one LAPACK call per dimension
-(``rep.local_spectra_batch``), then the condition numbers of the Jordan
-bases behind ``low_confidence`` in two stacked SVDs per dimension
+(``rep.local_spectra_batch``), which exact mode certifies matrix by
+matrix (``exact.rational_angles``), then the condition numbers of the
+Jordan bases behind ``low_confidence`` in two stacked SVDs per dimension
 (``linalg.jordan_cond_batch``).  The reps are then classified one by one.
 Each rep meets its own errors in the order a rep-by-rep run would, and a
 one-rep document is the single-rep case: ``classify_rep_to_json``.
@@ -37,8 +38,8 @@ import numpy as np
 from .chern import ChernData, chern_class
 from .classify import SplittingResult, classify
 from .config import DEFAULT, Tolerances
-from .errors import LogrootsError, SchemaError
-from .linalg import _attempt, _value, jordan_cond_batch
+from .errors import SchemaError
+from .linalg import _REP_ERRORS, _attempt, _value, jordan_cond_batch
 from .rep import MonodromyRep, local_spectra_batch
 
 VERSION = "1"
@@ -269,11 +270,6 @@ def _worse_than(conds: list, cond_max: float) -> bool:
     """Whether a cond(P) of ``conds`` exceeds ``cond_max``, read in turn;
     a failure met before one does is raised."""
     return any(_value(cond) > cond_max for cond in conds)
-
-
-# numpy raises LinAlgError where LAPACK fails to converge or a change of
-# basis comes out singular; a batch records it like a refusal of that rep
-_REP_ERRORS = (LogrootsError, np.linalg.LinAlgError)
 
 
 def _document(reps: list[MonodromyRep], record, keep_going: bool,

@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DimensionError, LogrootsError, SingularMatrix
+from .errors import (DimensionError, LogrootsError, NonFiniteMatrix,
+                     SingularMatrix)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -30,7 +31,7 @@ def as_matrix(a) -> np.ndarray:
     if m.shape[0] not in (1, 2, 3):
         raise DimensionError(f"dimension {m.shape[0]} not in {{1, 2, 3}}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteMatrix("matrix entries must be finite")
     return m
 
 
@@ -142,14 +143,18 @@ def eigenvalues(a, tol: Tolerances = DEFAULT) -> list[BranchedEigenvalue]:
     return _branched(raw, tol)
 
 
+# numpy raises LinAlgError where LAPACK fails to converge or a change of
+# basis comes out singular; a batch records it like a refusal of that rep
+_REP_ERRORS = (LogrootsError, np.linalg.LinAlgError)
+
+
 def _attempt(fn, *args):
     """``fn(*args)``, or the error it raised, for a caller that raises it
-    in its own turn (``_value``): a refusal of the program's or of numpy's
-    (numpy's LinAlgError is a ValueError, as is ``as_matrix``'s refusal of
-    a non-finite matrix)."""
+    in its own turn (``_value``): a refusal of the program's or of
+    numpy's."""
     try:
         return fn(*args)
-    except (LogrootsError, ValueError) as exc:
+    except _REP_ERRORS as exc:
         return exc
 
 

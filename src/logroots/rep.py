@@ -85,9 +85,9 @@ class LocalSpectra:
 
 def local_spectra(rep: MonodromyRep, tol: Tolerances = DEFAULT,
                   exact: bool = False) -> LocalSpectra:
-    """The rep's three local spectra: from LAPACK, or certified in exact
-    mode.  Both routes refuse a matrix that is singular within
-    ``tol.eps_sing``.  The one-rep case of ``local_spectra_batch``."""
+    """The rep's three local spectra, certified in exact mode; a matrix
+    singular within ``tol.eps_sing`` is refused.  The one-rep case of
+    ``local_spectra_batch``."""
     (spectra,) = local_spectra_batch([rep], tol, exact)
     return _value(spectra)
 
@@ -97,23 +97,20 @@ def local_spectra_batch(reps, tol: Tolerances = DEFAULT,
     """The local spectra of each rep of ``reps``, or the exception that
     computing them raised: the first of M0, M1 and M0*M1 to fail.
 
-    In float mode the spectra of every rep's M0, M1 and M0*M1 come from
-    one ``eigenvalues_batch``, one LAPACK call per dimension.  Exact mode
-    certifies each matrix with ``rational_angles``, rep by rep, and
-    stops at a rep's first failure.
+    The eigenvalues of every rep's M0, M1 and M0*M1 come from one
+    ``eigenvalues_batch``, one LAPACK call per dimension, in both modes.
+    Exact mode then certifies each matrix's eigenvalues with
+    ``rational_angles``.
     """
+    # a product that overflows is that rep's NonFiniteMatrix refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = [m for rep in reps for m in (rep.m0, rep.m1, rep.m0 @ rep.m1)]
+    solved = eigenvalues_batch(mats, tol)
     if exact:
-        return [_attempt(_certified_spectra, rep, tol) for rep in reps]
-    solved = eigenvalues_batch([m for rep in reps
-                                for m in (rep.m0, rep.m1, rep.m0 @ rep.m1)],
-                               tol)
-    return [_attempt(_spectra, *solved[k:k + 3], False)
+        solved = [s if isinstance(s, Exception)
+                  else _attempt(rational_angles, s, tol) for s in solved]
+    return [_attempt(_spectra, *solved[k:k + 3], exact)
             for k in range(0, len(solved), 3)]
-
-
-def _certified_spectra(rep: MonodromyRep, tol: Tolerances) -> LocalSpectra:
-    return _spectra(rational_angles(rep.m0, tol), rational_angles(rep.m1, tol),
-                    rational_angles(rep.m0 @ rep.m1, tol), True)
 
 
 def _spectra(s0, s1, s01, exact: bool) -> LocalSpectra:

@@ -97,6 +97,28 @@ class TestClassify:
         (rec,) = json.loads(capsys.readouterr().out)["results"]
         assert rec["error"]["type"] == "LinAlgError"
 
+    def test_overflowing_product_is_computation_error(self, tmp_path,
+                                                       capsys):
+        # each generator is finite, so the parser accepts the rep; its
+        # M0*M1 overflows to infinity where the spectra are computed
+        doc = {"version": "1", "reps": [
+            {"label": "overflow", "n": 1,
+             "m0": [[[1e200, 0.0]]], "m1": [[[1e200, 0.0]]]},
+            {"label": "good", "n": 1,
+             "m0": [[[-1.0, 0.0]]], "m1": [[{"angle": "1/2"}]]}]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path), "--keep-going"]) == 3
+        bad, good = json.loads(capsys.readouterr().out)["results"]
+        assert bad["label"] == "overflow"
+        assert bad["error"] == {"type": "NonFiniteMatrix",
+                                "message": "matrix entries must be finite"}
+        assert good["label"] == "good"
+        assert good["result"]["canonical"] == ["(-1)"]
+        assert main(["classify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: NonFiniteMatrix: matrix entries must be finite\n"
+
 
 class TestRuntimeDependencies:
     def test_classify_runs_without_jsonschema(self, tmp_path):
@@ -117,6 +139,27 @@ class TestRuntimeDependencies:
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         (rec,) = json.loads(proc.stdout)["results"]
+        assert rec["result"]["canonical"] == ["(0,-1,-2)"]
+
+    def test_exact_classify_runs_without_mpmath(self, tmp_path):
+        # exact mode certifies LAPACK eigenvalues; mpmath is a test
+        # dependency only
+        script = (
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from logroots.cli import main\n"
+            "path = sys.argv[1]\n"
+            "assert main(['example', 'pslz-section5', '--out', path]) == 0\n"
+            "sys.exit(main(['classify', path, '--exact']))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "in.json")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        (rec,) = json.loads(proc.stdout)["results"]
+        assert rec["chern"]["exact"] is True
         assert rec["result"]["canonical"] == ["(0,-1,-2)"]
 
 
@@ -223,7 +266,8 @@ class TestTolerances:
     @pytest.mark.parametrize("config", [
         {"eps_sing": "x"}, {"eps_sing": -1.0}, {"eps_int": True},
         {"eps_sing": None}, {"cond_max": 1e400}, {"max_denominator": 2.5},
-        {"max_denominator": 0}, {"exact_dps": True}, {"exact_dps": "60"},
+        {"max_denominator": 0}, {"max_denominator": True},
+        {"max_denominator": "60"},
     ])
     def test_bad_config_value_is_schema_error(self, config, pslz_path,
                                               tmp_path, capsys):
@@ -237,7 +281,7 @@ class TestTolerances:
     @pytest.mark.parametrize("flag, value", [
         ("--tol-eps-sing", "-1"), ("--tol-eps-sing", "nan"),
         ("--tol-cond-max", "inf"), ("--tol-max-denominator", "0"),
-        ("--tol-exact-dps", "-5"),
+        ("--tol-max-denominator", "-5"),
     ])
     def test_bad_flag_value_is_schema_error(self, flag, value, pslz_path,
                                             capsys):
@@ -255,7 +299,7 @@ class TestTolerances:
         # zero is a valid float tolerance, an integer a valid float value
         cfg = tmp_path / "tol.json"
         cfg.write_text(json.dumps({"eps_branch": 0, "eps_int": 1e-6,
-                                   "max_denominator": 12, "exact_dps": 40}))
+                                   "max_denominator": 12}))
         assert main(["classify", pslz_path, "--exact", "--config", str(cfg),
                      "--tol-eps-sing", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -15,7 +15,8 @@ from logroots.errors import SchemaError
     pytest.param("cond_max", 10 ** 400, id="cond_max-int-beyond-float"),
     ("eps_int", True),
     ("eps_rank", None), ("max_denominator", 2.5), ("max_denominator", 0),
-    ("exact_dps", True), ("exact_dps", "60"), ("exact_dps", -5),
+    ("max_denominator", True), ("max_denominator", "60"),
+    ("max_denominator", -5),
 ])
 def test_bad_value_is_schema_error(name, value):
     with pytest.raises(SchemaError, match=f"tolerance {name}:"):

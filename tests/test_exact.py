@@ -1,8 +1,8 @@
 """Exact-mode angle certification.
 
-Independent oracle: mpmath's general eigen-solver (Hessenberg QR) at the
-same working precision, kept here only as a reference for the spectra that
-rational_angles computes from the characteristic polynomial.
+Independent oracle: mpmath's general eigen-solver (Hessenberg QR) at 60
+digits, a reference for the LAPACK eigenvalues that rational_angles
+certifies.
 """
 
 from collections import Counter
@@ -12,7 +12,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from logroots import DEFAULT, ExactModeError, parse_input_document, preset
+from logroots import (DEFAULT, ExactModeError, MonodromyRep, classify,
+                      eigenvalues, parse_input_document, preset)
 from logroots.exact import rational_angles
 
 from conftest import angle, random_unitary
@@ -20,7 +21,7 @@ from conftest import angle, random_unitary
 
 def eig_reference(a, tol=DEFAULT):
     """Sorted (angle, multiplicity) pairs from mpmath.eig's eigenvalues."""
-    with mpmath.workdps(tol.exact_dps):
+    with mpmath.workdps(60):
         m = mpmath.matrix([[mpmath.mpc(z) for z in row]
                            for row in np.asarray(a, dtype=complex).tolist()])
         eigs = mpmath.eig(m, left=False, right=False)
@@ -34,8 +35,13 @@ def eig_reference(a, tol=DEFAULT):
     return sorted(counts.items())
 
 
+def certify(a, tol=DEFAULT):
+    """The certified spectrum of the matrix ``a``, as exact mode gets it."""
+    return rational_angles(eigenvalues(a, tol), tol)
+
+
 def certified(a):
-    return [(ev.exact_angle, ev.multiplicity) for ev in rational_angles(a)]
+    return [(ev.exact_angle, ev.multiplicity) for ev in certify(a)]
 
 
 def random_angles(rng, n):
@@ -89,7 +95,7 @@ class TestAgainstEigReference:
         assert certified([[angle(5 / 7)]]) == [(Fraction(5, 7), 1)]
 
     def test_branch_data(self):
-        (ev,) = rational_angles([[angle(0.75)]])
+        (ev,) = certify([[angle(0.75)]])
         assert ev.q == 0.75 and ev.r == 1.0
         assert ev.value == pytest.approx(-1j)
 
@@ -97,15 +103,45 @@ class TestAgainstEigReference:
 class TestRefusals:
     def test_non_unit_modulus(self):
         with pytest.raises(ExactModeError, match="modulus"):
-            rational_angles(np.diag([1.0, 2.0 * angle(0.25)]))
+            certify(np.diag([1.0, 2.0 * angle(0.25)]))
 
     def test_irrational_angle(self):
         q = 2 ** 0.5 - 1  # no p/s with s <= 4096 within the check
         with pytest.raises(ExactModeError, match="not a rational"):
-            rational_angles(np.diag([angle(q), 1.0, angle(0.5)]))
+            certify(np.diag([angle(q), 1.0, angle(0.5)]))
 
     def test_denominator_cap(self):
         a = [[angle(1 / 17)]]
         assert certified(a) == [(Fraction(1, 17), 1)]
         with pytest.raises(ExactModeError, match="denominator <= 16"):
-            rational_angles(a, DEFAULT.override(max_denominator=16))
+            certify(a, DEFAULT.override(max_denominator=16))
+
+
+class TestDomain:
+    def test_ill_conditioned_conjugate_is_refused(self):
+        # A = P D P^-1 with cond(P) = 1e5 moves D's eigenvalues by up to
+        # about 1e-16 * cond(P)^2, far beyond the 1/(100 s^2) check at the
+        # default max_denominator; a coarser check certifies them, and
+        # only to the planted angles
+        rng = np.random.default_rng(4300)
+        qs = [Fraction(1, 5), Fraction(1, 2), Fraction(2, 3)]
+        coarse = DEFAULT.override(max_denominator=12)
+        for _ in range(20):
+            p = random_unitary(rng, 3) @ np.diag([1.0, 10 ** 2.5, 1e5]) \
+                @ random_unitary(rng, 3)
+            a = p @ np.diag([angle(float(q)) for q in qs]) @ np.linalg.inv(p)
+            with pytest.raises(ExactModeError):
+                certify(a)
+            got = certify(a, coarse)
+            assert [(ev.exact_angle, ev.multiplicity) for ev in got] == \
+                [(q, 1) for q in qs]
+
+    def test_ill_conditioned_rep_is_refused(self):
+        rng = np.random.default_rng(4301)
+        p = random_unitary(rng, 2) @ np.diag([1.0, 1e5]) \
+            @ random_unitary(rng, 2)
+        pinv = np.linalg.inv(p)
+        rep = MonodromyRep(p @ np.diag([angle(0.25), angle(0.5)]) @ pinv,
+                           p @ np.diag([angle(0.75), angle(0.5)]) @ pinv)
+        with pytest.raises(ExactModeError):
+            classify(rep, exact=True)

@@ -1,12 +1,13 @@
 """JSON interchange: schema validation, entry parsing, document building."""
 
 import json
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
 import pytest
 
-from logroots import DEFAULT, parse_input_document, preset
+from logroots import DEFAULT, MonodromyRep, parse_input_document, preset
 from logroots.errors import SchemaError
 from logroots.io import (
     chern_document,
@@ -158,7 +159,9 @@ class TestOutputDocuments:
         calls = count_calls(monkeypatch, "exact", "rational_angles")
         reps = parse_input_document(preset("pslz-section5"))
         classify_document(reps, exact=True)
-        assert [np.shape(a) for a in calls] == [(3, 3)] * 3
+        # each call certifies the eigenvalues of one 3x3 matrix
+        assert [sum(ev.multiplicity for ev in spectrum)
+                for spectrum in calls] == [3] * 3
 
     def test_float_document_computes_three_spectra(self, monkeypatch):
         # each rep's M0, M1 and M0*M1 are solved once, in one LAPACK call
@@ -394,3 +397,39 @@ class TestOutputDocuments:
         reps = parse_input_document(preset("aux-character"))
         doc = chern_document(reps)
         assert doc["results"][0]["chern"]["c1"] == -1
+
+
+class TestMonodromyConvention:
+    """Matrices act on column vectors, infinity maps to (M0 M1)^-1, a sub
+    is spanned by common eigenvectors of (M0, M1), and transposing the
+    pair swaps sub and quotient."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_character_root_is_minus_the_angle_sum(self, exact):
+        rng = np.random.default_rng(4400)
+        for _ in range(30):
+            q0, q1 = (Fraction(int(rng.integers(0, s)), int(s))
+                      for s in rng.integers(1, 13, size=2))
+            q_inf = (-(q0 + q1)) % 1  # the angle of (v0 v1)^-1
+            doc = minimal_doc()
+            doc["reps"][0]["m0"] = [[{"angle": str(q0)}]]
+            doc["reps"][0]["m1"] = [[{"angle": str(q1)}]]
+            (rec,) = classify_document(parse_input_document(doc),
+                                       exact=exact)["results"]
+            assert rec["result"]["options"] == [[-(q0 + q1 + q_inf)]]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_transpose_swaps_sub_and_quotient(self, exact):
+        # e1 is the one common eigenvector of the upper triangular pair:
+        # the sub has angles (.7, .8, .5) and root -2, the quotient
+        # (.1, .1, .8) and root -1
+        m0 = np.array([[angle(0.7), 0.3], [0, angle(0.1)]])
+        m1 = np.array([[angle(0.8), 0.5], [0, angle(0.1)]])
+        upper, lower = classify_document(
+            [MonodromyRep(m0, m1), MonodromyRep(m0.T, m1.T)],
+            exact=exact)["results"]
+        for rec, sub, quotient in ((upper, -2, -1), (lower, -1, -2)):
+            assert rec["composition"]["sequence"] == {
+                "sub_dim": 1, "sub_roots": [[sub]],
+                "quotient_roots": [[quotient]]}
+            assert rec["result"]["options"] == [[-1, -2]]

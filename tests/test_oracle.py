@@ -128,6 +128,17 @@ class TestSampleAndCheck:
         report = sample_and_check(spec, ["exact-float-agreement"])
         assert report.ok
 
+    def test_exact_mode_refusal_is_a_violation(self):
+        # generic spectra are not rational-angle, so exact mode refuses
+        # every sample; the report still comes back
+        spec = SampleSpec(count=3, dim=2, ensemble="generic", seed=0)
+        report = sample_and_check(spec, ["exact-float-agreement"])
+        assert report.checks_run == 3 and not report.ok
+        assert [v["sample"] for v in report.violations] == [0, 1, 2]
+        for v in report.violations:
+            assert v["expected"].startswith("exact c1 == float c1 = ")
+            assert v["got"].startswith("ExactModeError: ")
+
     def test_unknown_check_rejected(self):
         spec = SampleSpec(count=1, dim=2, ensemble="generic", seed=0)
         with pytest.raises(ValueError):

@@ -4,16 +4,16 @@ The representation factors through the projective modular group: the
 diagonal generator has sixth-root-of-unity angles and the other generator
 is an involution.  It is reducible but indecomposable, and every route
 through its invariant-subspace structure pins the same splitting type.
-Its three local spectra are certified once; each sub and quotient
-inherits its spectra from them.
+Its three local spectra are certified once; each sequence splits them
+between its sub and its quotient.
 
 Run:  python3 demos/worked_example.py
 """
 
 import numpy as np
 
-from logroots import (analyze, chern_class, classify, inherit_spectra,
-                      local_spectra, parse_input_document, preset)
+from logroots import (analyze, chern_class, classify, local_spectra,
+                      parse_input_document, preset)
 
 rep = parse_input_document(preset("pslz-section5"))[0]
 
@@ -32,8 +32,9 @@ comp = analyze(rep, spectra=spectra)
 print(f"\ncomposition structure: {comp.kind} "
       f"({len(comp.sequences)} short exact sequences)")
 for seq in comp.sequences:
-    sub, quot = (classify(part, spectra=inherit_spectra(spectra, part))
-                 for part in (seq.sub_rep, seq.quotient_rep))
+    sub, quot = (classify(part, spectra=part_spectra) for part, part_spectra
+                 in ((seq.sub_rep, seq.sub_spectra),
+                     (seq.quotient_rep, seq.quotient_spectra)))
     print(f"  sub dim {seq.sub_dim}: sub roots {sub.options[0]}, "
           f"quotient roots {quot.options[0]}")
 

@@ -3,7 +3,7 @@ line, computed from a pair of monodromy matrices at the punctures 0 and 1.
 
 The public surface mirrors the pipeline: eigenvalue/branch bookkeeping
 (:mod:`logroots.linalg`), each rep's local spectra (computed once and
-inherited by its sub, quotient and summand reps) and composition structure
+split among its sub, quotient and summand reps) and composition structure
 (:mod:`logroots.rep`), the degree of the extension (:mod:`logroots.chern`),
 the splitting type itself (:mod:`logroots.classify`), and randomized
 cross-checks (:mod:`logroots.oracle`).
@@ -67,7 +67,6 @@ from .rep import (
     build_from_pslz,
     character,
     common_invariant_subspaces,
-    inherit_spectra,
     local_spectra,
     trivial,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "direct_sum_oracle",
     "eigenvalues",
     "ext_splits",
-    "inherit_spectra",
     "jordan_form",
     "load_input",
     "local_spectra",

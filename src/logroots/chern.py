@@ -6,7 +6,8 @@ monodromy, so the trace at a pole is sum(ln r + 2*pi*i*q) over that
 matrix's spectrum.  The ln-r parts cancel across the poles (determinant
 coherence) and the q parts sum to an integer, which is -c1.  The spectra
 are the rep's one spectral record (:func:`logroots.rep.local_spectra`);
-a sub, quotient or summand reads the record it inherited from its parent.
+a sub, quotient or summand reads its share of its parent's record, which
+:func:`logroots.rep.analyze` split off.
 """
 
 from __future__ import annotations

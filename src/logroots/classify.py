@@ -9,9 +9,10 @@ surfaced, never guessed.
 Each rep's local spectra are computed once (:func:`logroots.rep.local_spectra`)
 and feed both its degree and its invariant-subspace analysis.  A reducible
 rep's summands, or the subs and quotients of its short exact sequences,
-inherit their spectra from it (:func:`logroots.rep.inherit_spectra`) and
-are classified once each by :func:`classify`, proven bounds included; the
-case tables then read their roots.
+take their spectra from the analysis, which splits them off the rep's
+(:func:`logroots.rep.analyze`), and are classified once each by
+:func:`classify`, proven bounds included; the case tables then read their
+roots.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .chern import ChernData, chern_bound_check, chern_class
 from .config import DEFAULT, Tolerances
 from .errors import (DimensionError, EmptyIntersection, LogrootsError,
                      RootOutOfProvenRange)
-from .rep import (LocalSpectra, MonodromyRep, analyze, inherit_spectra,
-                  local_spectra)
+from .rep import LocalSpectra, MonodromyRep, analyze, local_spectra
 
 
 @dataclass(frozen=True, order=True)
@@ -250,17 +250,15 @@ def classify(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     ``spectra`` is the rep's local spectra, computed here in the mode
     ``exact`` when not given; a given record's own mode decides.  It is
     the only spectral input of the degree and of the invariant-subspace
-    analysis.  Every sub, quotient or summand the analysis uses inherits
-    its spectra from it and is classified once, by this function.
+    analysis.  Every sub, quotient or summand the tables read is
+    classified once, by this function, on the spectra the analysis split
+    off this record for it.
     Verifies the sum rule and every proven bound before returning.
     """
     if spectra is None:
         spectra = local_spectra(rep, tol, exact)
     chern = chern_class(rep, tol, spectra=spectra)
     comp = analyze(rep, tol, spectra)
-
-    def classify_part(part: MonodromyRep) -> SplittingResult:
-        return classify(part, tol, spectra=inherit_spectra(spectra, part, tol))
 
     n, z = rep.n, chern.c1
     # the results of a decomposable rep's two summands, or of the sub and
@@ -269,13 +267,16 @@ def classify(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     if comp.kind == "irreducible":
         options, provenance, notes = _roots_irreducible(n, z)
     elif comp.kind == "decomposable":
-        splits = [tuple(classify_part(c) for c in comp.components)]
+        splits = [tuple(classify(part, tol, spectra=part_spectra)
+                        for part, part_spectra
+                        in zip(comp.components, comp.component_spectra))]
         options, provenance, notes = _roots_direct_sum(n, *splits[0])
     else:
         # a dim-2 rep is read off its first sequence; a dim-3 rep
         # intersects the candidate sets of all of them
-        splits = [(classify_part(seq.sub_rep),
-                   classify_part(seq.quotient_rep))
+        splits = [(classify(seq.sub_rep, tol, spectra=seq.sub_spectra),
+                   classify(seq.quotient_rep, tol,
+                            spectra=seq.quotient_spectra))
                   for seq in (comp.sequences[:1] if n == 2
                               else comp.sequences)]
         if n == 2:

@@ -7,6 +7,7 @@ discipline, so a report is reproducible byte-for-byte from its seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +21,9 @@ from .classify import SplittingType, classify
 from .config import DEFAULT, Tolerances
 from .errors import (AmbiguousPart, ExactModeError, LogrootsError,
                      NonIntegerChern)
-from .rep import MonodromyRep, local_spectra
+from .exact import rational_angles
+from .linalg import _value
+from .rep import MonodromyRep, _spectra, local_spectra_batch
 
 ENSEMBLES = ("generic", "unitary", "rationalAngle", "blockUpperTriangular")
 
@@ -298,8 +301,14 @@ def _check_branch_roundtrip(rep, data, report, i, tol):
 
 def _check_exact_float_agreement(rep, data, report, i, tol):
     expected = f"exact c1 == float c1 = {data['c1']}"
+    # exact mode certifies the eigenvalues of M0, M1 and M0*M1 that the
+    # float record holds, the last as the inverses of those at infinity
+    s0, s1, s_inf = data["spectra"].poles
     try:
-        exact_c1 = chern_class(rep, tol, exact=True).c1
+        certified = _spectra(*(rational_angles(s, tol) for s in
+                               (s0, s1, [ev.inverse() for ev in s_inf])),
+                             True)
+        exact_c1 = chern_class(rep, tol, spectra=certified).c1
     except ExactModeError as exc:
         _violation(report, i, expected, f"ExactModeError: {exc}")
         return
@@ -323,21 +332,38 @@ _NEEDS_RESULT = {"strict-bound-unitary-dim2", "root-bound-dim2",
                  "reducible-bound-dim3", "nonroots", "sum-rule"}
 
 
+# samples drawn before their spectra are taken in one batch; the bound
+# keeps memory flat however many samples a report checks
+_SAMPLE_BATCH = 1024
+
+
+def _with_spectra(reps, tol: Tolerances):
+    """Each rep of the iterable ``reps`` with the outcome of its local
+    spectra, taken in one ``local_spectra_batch`` per ``_SAMPLE_BATCH``
+    reps."""
+    reps = iter(reps)
+    while batch := list(itertools.islice(reps, _SAMPLE_BATCH)):
+        yield from zip(batch, local_spectra_batch(batch, tol))
+
+
 def sample_and_check(spec: SampleSpec, checks: list[str],
                      tol: Tolerances = DEFAULT) -> OracleReport:
     """Run the named checks over the ensemble; violations are data, not
-    exceptions, so a report always comes back.  Each sample's local
-    spectra are computed once, for its degree and its classification,
-    and its degree once: a classification carries it.  A sample whose
-    degree is no integer is one violation; a sample that classify refuses
-    otherwise still counts in the degree histogram."""
+    exceptions, so a report always comes back.  The samples are drawn
+    first and their local spectra taken in one ``local_spectra_batch``
+    per ``_SAMPLE_BATCH`` samples; each sample's record serves its
+    degree, its classification and the exact-mode check, and meets its
+    own errors in its turn.  Its degree is computed once: a
+    classification carries it.  A sample whose degree is no integer is
+    one violation; a sample that classify refuses otherwise still counts
+    in the degree histogram."""
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
     report = OracleReport(spec=spec, checks=tuple(checks))
     need_result = bool(_NEEDS_RESULT & set(checks))
-    for i, rep in enumerate(sample_reps(spec)):
-        spectra = local_spectra(rep, tol)
+    for i, (rep, spectra) in enumerate(_with_spectra(sample_reps(spec), tol)):
+        spectra = _value(spectra)
         result = refusal = None
         if need_result:
             try:
@@ -357,7 +383,8 @@ def sample_and_check(spec: SampleSpec, checks: list[str],
             _violation(report, i, "classification succeeds",
                        f"{type(refusal).__name__}: {refusal}")
             continue
-        data = {"chern": chern, "c1": chern.c1, "result": result}
+        data = {"chern": chern, "c1": chern.c1, "result": result,
+                "spectra": spectra}
         for name in checks:
             if name in _NEEDS_RESULT and data["result"] is None:
                 continue

@@ -5,18 +5,22 @@ the loop around infinity maps to (M0*M1)^{-1}.  This module computes the
 branched spectra of the three local monodromies once per rep
 (:func:`local_spectra`), detects common invariant subspaces,
 irreducibility and decomposability from those spectra, and extracts the
-sub/quotient representations of a short exact sequence.  A sub, quotient
-or summand takes its spectra from its parent's (:func:`inherit_spectra`),
-since its characteristic polynomials divide the parent's; a block
-eigenvalue that matches no parent eigenvalue, or several, raises
-InconsistentCertificate.
+sub/quotient representations of a short exact sequence.  Each invariant
+subspace carries the pair of eigenvalues, at 0 and at 1, whose pencil
+found the character it splits off; that character takes those two and
+the parent eigenvalue at infinity matching their product's inverse, and
+the complementary part takes the rest.  So the spectra of every sub,
+quotient and summand partition the parent's by construction, and no part
+solves for eigenvalues of its own.  A product that matches no parent
+eigenvalue at infinity, or several, raises InconsistentCertificate.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -121,55 +125,19 @@ def _spectra(s0, s1, s01, exact: bool) -> LocalSpectra:
                          tuple(ev.inverse() for ev in _value(s01))), exact)
 
 
-def _match(values, spectrum: tuple[BranchedEigenvalue, ...],
-           tol: Tolerances, pole: str) -> tuple[BranchedEigenvalue, ...]:
-    """The sub-multiset of ``spectrum`` that ``values`` match one to one."""
-    radius = tol.eps_cluster * max(abs(ev.value) for ev in spectrum)
-    counts = [0] * len(spectrum)
-    for z in values:
-        near = [i for i, ev in enumerate(spectrum)
-                if abs(z - ev.value) <= radius]
-        if len(near) != 1:
-            raise InconsistentCertificate(
-                f"block eigenvalue {complex(z):.6g} at pole {pole} is within "
-                f"{radius:.1e} of {len(near)} parent eigenvalues, not one")
-        if counts[near[0]] == spectrum[near[0]].multiplicity:
-            raise InconsistentCertificate(
-                f"block eigenvalue {complex(z):.6g} at pole {pole} exceeds "
-                "the multiplicity of its parent eigenvalue")
-        counts[near[0]] += 1
-    return tuple(replace(ev, multiplicity=k)
-                 for ev, k in zip(spectrum, counts) if k)
-
-
-def inherit_spectra(parent: LocalSpectra, part: MonodromyRep,
-                    tol: Tolerances = DEFAULT) -> LocalSpectra:
-    """Local spectra of a sub, quotient or summand rep, taken from its
-    parent's.
-
-    Each eigenvalue of the part's blocks (from LAPACK, in both modes) is
-    matched to the one parent eigenvalue within ``tol.eps_cluster`` of it,
-    relative to the parent's spectral radius at that pole, and no parent
-    eigenvalue is matched more often than its multiplicity.  The part
-    takes the parent's branch data, certified angles included.  Raises
-    InconsistentCertificate where a match is missing or not unique.
-    """
-    e0, e1, e01 = np.linalg.eigvals(np.stack([part.m0, part.m1,
-                                               part.m0 @ part.m1]))
-    blocks = (e0, e1, 1.0 / e01)
-    return LocalSpectra(tuple(_match(values, spectrum, tol, pole)
-                              for values, spectrum, pole
-                              in zip(blocks, parent.poles, POLES)),
-                        parent.exact)
-
-
 @dataclass(frozen=True)
 class InvariantSubspace:
-    """A common invariant subspace, held as an orthonormal column basis."""
+    """A common invariant subspace, held as an orthonormal column basis.
+
+    ``pair`` indexes the eigenvalues in the rep's spectra at 0 and at 1 by
+    which M0 and M1 act on the character the subspace splits off: the
+    line itself, or the quotient by an (n-1)-dimensional subspace.
+    """
 
     dim: int
     basis: np.ndarray  # n x dim, orthonormal columns
     residual_norm: float
+    pair: tuple[int, int]
     non_isolated: bool = False
 
 
@@ -200,14 +168,15 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
     [m0 - l I; m1 - m I] has a null vector.  One SVD of the stack of all
     pencils, singular values only, screens them; one SVD of the stack of
     the pencils it passes factors those in full, and their own singular
-    values decide, pair by pair in ``itertools.product`` order.
+    values decide, pair by pair in ``itertools.product`` order.  Each
+    line records the pair whose pencil found it.
     """
     n = m0.shape[0]
     scale = max(np.linalg.norm(m0), np.linalg.norm(m1), 1.0)
     thr = tol.eps_inv * scale
     found: list[InvariantSubspace] = []
 
-    def _emit(vec: np.ndarray, non_isolated: bool):
+    def _emit(vec: np.ndarray, pair: tuple[int, int], non_isolated: bool):
         vec = vec / np.linalg.norm(vec)
         basis = vec.reshape(-1, 1)
         for other in found:
@@ -218,7 +187,7 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
             w = m @ vec
             res = max(res, float(np.linalg.norm(w - (vec.conj() @ w) * vec)))
         found.append(InvariantSubspace(dim=1, basis=basis,
-                                       residual_norm=res / scale,
+                                       residual_norm=res / scale, pair=pair,
                                        non_isolated=non_isolated))
 
     top, bottom = (_shifted(m, [ev.value for ev in spectrum])
@@ -230,23 +199,25 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
     # and may differ from its values in the last bits; the factor 2 keeps
     # every pencil the full values would pass
     least = np.linalg.svd(pencils, compute_uv=False)[:, -1]
-    passed = pencils[least <= 2.0 * thr]
+    passed = np.flatnonzero(least <= 2.0 * thr)
     if not len(passed):
         return found
-    _, sv, vh = np.linalg.svd(passed)
-    for s, v in zip(sv, vh):
+    _, sv, vh = np.linalg.svd(pencils[passed])
+    for index, s, v in zip(passed, sv, vh):
+        pair = divmod(int(index), len(bottom))
         null = v.conj().T[:, s <= thr]
         if null.shape[1] == 0:
             continue
         if null.shape[1] == n:
             # scalar pair: every line is invariant; report canonical lines
             for i in range(n):
-                _emit(np.eye(n)[:, i].astype(complex), non_isolated=True)
+                _emit(np.eye(n)[:, i].astype(complex), pair,
+                      non_isolated=True)
         elif null.shape[1] > 1:
             for i in range(null.shape[1]):
-                _emit(null[:, i], non_isolated=True)
+                _emit(null[:, i], pair, non_isolated=True)
         else:
-            _emit(null[:, 0], non_isolated=False)
+            _emit(null[:, 0], pair, non_isolated=False)
     return found
 
 
@@ -259,7 +230,9 @@ def common_invariant_subspaces(rep: MonodromyRep, k: int,
     k = 1 searches for common eigenvectors over eigenvalue pairs; k = n - 1
     applies the same search to the transpose pair and returns annihilators.
     For n = 3 these two routes cover all proper dimensions.  The
-    eigenvalues are those of ``spectra``, computed here when not given.
+    eigenvalues are those of ``spectra``, computed here when not given; a
+    transpose has the same spectra, so an annihilator's ``pair`` is the
+    character of the quotient by it.
     """
     n = rep.n
     if not 1 <= k < n:
@@ -276,6 +249,7 @@ def common_invariant_subspaces(rep: MonodromyRep, k: int,
         basis = _row_annihilator(w)
         out.append(InvariantSubspace(dim=n - 1, basis=basis,
                                      residual_norm=_invariance_residual(rep, basis),
+                                     pair=line.pair,
                                      non_isolated=line.non_isolated))
     # deduplicate
     dedup: list[InvariantSubspace] = []
@@ -292,14 +266,69 @@ def _row_annihilator(w: np.ndarray) -> np.ndarray:
     return vh.conj().T[:, 1:]
 
 
+def _match_at_infinity(z: complex,
+                       spectrum: tuple[BranchedEigenvalue, ...],
+                       tol: Tolerances) -> int:
+    """The index of the one eigenvalue of ``spectrum`` within
+    ``tol.eps_cluster`` of z, relative to the spectrum's radius."""
+    radius = tol.eps_cluster * max(abs(ev.value) for ev in spectrum)
+    near = [k for k, ev in enumerate(spectrum) if abs(z - ev.value) <= radius]
+    if len(near) != 1:
+        raise InconsistentCertificate(
+            f"character eigenvalue {complex(z):.6g} at pole inf is within "
+            f"{radius:.1e} of {len(near)} parent eigenvalues, not one")
+    return near[0]
+
+
+def _split(spectra: LocalSpectra, pair: tuple[int, int],
+           tol: Tolerances) -> tuple[LocalSpectra, LocalSpectra]:
+    """The spectra of the character that ``pair`` indexes and of its
+    complement, which partition ``spectra`` at each pole.
+
+    The character takes the pair's eigenvalues l at 0 and m at 1, and the
+    eigenvalue at infinity that 1/(l m) matches; the complement takes the
+    rest, multiplicities counted.  Both keep the parent's branch data,
+    certified angles included.
+    """
+    i, j = pair
+    product = spectra.poles[0][i].value * spectra.poles[1][j].value
+    at = (i, j, _match_at_infinity(1.0 / product, spectra.poles[2], tol))
+    char, rest = zip(*(_take(pole, k) for pole, k in zip(spectra.poles, at)))
+    return LocalSpectra(char, spectra.exact), LocalSpectra(rest, spectra.exact)
+
+
+def _take(pole: tuple[BranchedEigenvalue, ...], k: int):
+    """One of the eigenvalue ``pole[k]``, and the rest of ``pole``."""
+    ev = pole[k]
+    if ev.multiplicity == 1:
+        return (ev,), pole[:k] + pole[k + 1:]
+    return ((replace(ev, multiplicity=1),),
+            pole[:k] + (replace(ev, multiplicity=ev.multiplicity - 1),)
+            + pole[k + 1:])
+
+
+def _character_of(spectra: LocalSpectra) -> MonodromyRep:
+    """The character whose generators act by the values of ``spectra``."""
+    return character(spectra.poles[0][0].value, spectra.poles[1][0].value)
+
+
 @dataclass(frozen=True)
 class Sequence:
-    """One short exact sequence 0 -> sub -> rep -> quotient -> 0."""
+    """One short exact sequence 0 -> sub -> rep -> quotient -> 0.
+
+    In the basis ``basis_change`` P both generators are block upper
+    triangular, P^-1 M P, with the sub and the quotient on the diagonal.
+    Their spectra partition the rep's.  In a dim-2 rep both parts are
+    characters, read off their spectra, and P is the unitary [v, v'] of
+    the sub's unit vector v.
+    """
 
     sub_dim: int
     sub_rep: MonodromyRep
     quotient_rep: MonodromyRep
     basis_change: np.ndarray
+    sub_spectra: LocalSpectra
+    quotient_spectra: LocalSpectra
 
 
 @dataclass(frozen=True)
@@ -307,16 +336,23 @@ class CompositionData:
     """Invariant-subspace structure of a representation.
 
     ``kind`` is one of irreducible / sub1 / sub2 / both / decomposable.
-    ``sequences`` lists every short exact sequence found, (n-1)-dimensional
-    subs first.  For decomposable reps ``components`` holds the direct
-    summands.
+    For decomposable reps ``components`` holds the direct summands and
+    ``component_spectra`` their spectra, which partition the rep's.
+    ``sequences`` lists every short exact sequence found,
+    (n-1)-dimensional subs first; they are built when first read.
     """
 
     kind: str
     sigma: Optional[complex] = None
-    sequences: tuple[Sequence, ...] = ()
     components: tuple[MonodromyRep, ...] = ()
+    component_spectra: tuple[LocalSpectra, ...] = ()
     non_isolated: bool = False
+    _sequences: Callable[[], tuple[Sequence, ...]] = field(
+        default=tuple, repr=False, compare=False)
+
+    @cached_property
+    def sequences(self) -> tuple[Sequence, ...]:
+        return self._sequences()
 
 
 def _complete_basis(basis: np.ndarray) -> np.ndarray:
@@ -328,16 +364,27 @@ def _complete_basis(basis: np.ndarray) -> np.ndarray:
     return np.hstack([basis, rest])
 
 
-def _sequence_from_subspace(rep: MonodromyRep, sub: InvariantSubspace) -> Sequence:
-    p = _complete_basis(sub.basis)
-    pinv = np.linalg.inv(p)
+def _sequence_from_subspace(rep: MonodromyRep, spectra: LocalSpectra,
+                            sub: InvariantSubspace,
+                            tol: Tolerances) -> Sequence:
     k = sub.dim
-    t0 = pinv @ rep.m0 @ p
-    t1 = pinv @ rep.m1 @ p
-    sub_rep = MonodromyRep(t0[:k, :k], t1[:k, :k])
-    quo_rep = MonodromyRep(t0[k:, k:], t1[k:, k:])
+    char, rest = _split(spectra, sub.pair, tol)
+    # the character is a line's sub, or the quotient by a plane
+    sub_spectra, quo_spectra = (char, rest) if k == 1 else (rest, char)
+    if rep.n == 2:
+        a, b = sub.basis[:, 0]
+        p = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+        sub_rep, quo_rep = _character_of(char), _character_of(rest)
+    else:
+        p = _complete_basis(sub.basis)
+        pinv = np.linalg.inv(p)
+        t0 = pinv @ rep.m0 @ p
+        t1 = pinv @ rep.m1 @ p
+        sub_rep = MonodromyRep(t0[:k, :k], t1[:k, :k])
+        quo_rep = MonodromyRep(t0[k:, k:], t1[k:, k:])
     return Sequence(sub_dim=k, sub_rep=sub_rep, quotient_rep=quo_rep,
-                    basis_change=p)
+                    basis_change=p, sub_spectra=sub_spectra,
+                    quotient_spectra=quo_spectra)
 
 
 def _sigma_certificate(rep: MonodromyRep, spectra: LocalSpectra,
@@ -367,6 +414,8 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     Sequences with an (n-1)-dimensional sub are listed first, matching the
     preference order used by the classifier; when several subspaces exist
     all induced sequences are surfaced so conclusions can be intersected.
+    The spectra of every summand, sub and quotient are split off
+    ``spectra`` by the pair of the subspace that found them.
     """
     n = rep.n
     if n == 1:
@@ -392,6 +441,7 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
 
     # decomposability: a complementary pair of invariant subspaces
     components: tuple[MonodromyRep, ...] = ()
+    component_spectra: tuple[LocalSpectra, ...] = ()
     if n == 2:
         pairs = [(a, b) for a, b in itertools.combinations(lines, 2)]
     else:
@@ -399,16 +449,20 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     for big, small in pairs:
         p = np.hstack([big.basis, small.basis])
         if abs(_det(p)) > 1e-6:
-            pinv = np.linalg.inv(p)
-            t0 = pinv @ rep.m0 @ p
-            t1 = pinv @ rep.m1 @ p
-            k = big.dim
-            components = (MonodromyRep(t0[:k, :k], t1[:k, :k]),
-                          MonodromyRep(t0[k:, k:], t1[k:, k:]))
+            # the small summand is the character at its pair, the big one
+            # its complement
+            char, rest = _split(spectra, small.pair, tol)
+            component_spectra = (rest, char)
+            if n == 2:
+                components = (_character_of(rest), _character_of(char))
+            else:
+                pinv = np.linalg.inv(p)
+                t0 = pinv @ rep.m0 @ p
+                t1 = pinv @ rep.m1 @ p
+                k = big.dim
+                components = (MonodromyRep(t0[:k, :k], t1[:k, :k]),
+                              MonodromyRep(t0[k:, k:], t1[k:, k:]))
             break
-
-    sequences = tuple(_sequence_from_subspace(rep, s) for s in planes) + \
-        tuple(_sequence_from_subspace(rep, s) for s in lines)
 
     if components:
         kind = "decomposable"
@@ -421,11 +475,11 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     else:
         kind = "sub1"
 
-    return CompositionData(kind=kind,
-                           sigma=sigma,
-                           sequences=sequences,
-                           components=components,
-                           non_isolated=non_isolated)
+    return CompositionData(
+        kind=kind, sigma=sigma, components=components,
+        component_spectra=component_spectra, non_isolated=non_isolated,
+        _sequences=lambda: tuple(_sequence_from_subspace(rep, spectra, s, tol)
+                                 for s in planes + lines))
 
 
 def build_from_pslz(t_eigenvalues, s_matrix,

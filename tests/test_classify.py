@@ -172,8 +172,8 @@ class TestRootsDim3Reducible:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_sequence_parts_match_classify(self, worked_example, exact):
-        # the parts classified from inherited spectra agree with parts
-        # classified from spectra of their own
+        # the parts classified from their shares of the rep's spectra agree
+        # with parts classified from spectra of their own
         res = classify(worked_example, exact=exact)
         seq = analyze(worked_example).sequences[0]
         sub, quotient = res.parts

@@ -78,7 +78,7 @@ class TestSampleAndCheck:
     def test_one_record_and_analysis_per_sample(self, monkeypatch):
         # the degree, the classification and the strict unitary check all
         # read one record of each sample's spectra and one analysis
-        spectra = count_calls(monkeypatch, "rep", "local_spectra")
+        batches = count_calls(monkeypatch, "rep", "local_spectra_batch")
         analyses = count_calls(monkeypatch, "rep", "analyze")
         spec = SampleSpec(count=20, dim=2, ensemble="unitary", seed=8)
         report = sample_and_check(
@@ -87,7 +87,9 @@ class TestSampleAndCheck:
         assert report.ok and report.skipped == 0
         assert report.checks_run == 5 * 20
         reps = list(sample_reps(spec))
-        for calls in (spectra, analyses):
+        # the records come from one batch over all samples
+        (batch,) = batches
+        for calls in (batch, analyses):
             assert len(calls) == 20
             assert all(np.array_equal(got.m0, rep.m0)
                        for got, rep in zip(calls, reps))
@@ -122,6 +124,18 @@ class TestSampleAndCheck:
         spec = SampleSpec(count=50, dim=3, ensemble="generic", seed=21)
         report = sample_and_check(spec, ["branch-roundtrip"])
         assert report.ok
+
+    def test_exact_check_certifies_the_float_record(self, monkeypatch):
+        # exact mode certifies the eigenvalues the float record holds: the
+        # 300 matrices of 100 samples are solved once, in one batch, and
+        # each is certified once
+        batches = count_calls(monkeypatch, "linalg", "eigenvalues_batch")
+        certified = count_calls(monkeypatch, "exact", "rational_angles")
+        spec = SampleSpec(count=100, dim=3, ensemble="rationalAngle", seed=0)
+        report = sample_and_check(spec, ["exact-float-agreement"])
+        assert report.ok and report.checks_run == 100
+        assert [len(mats) for mats in batches] == [300]
+        assert len(certified) == 300
 
     def test_exact_float_agreement_check(self):
         spec = SampleSpec(count=30, dim=2, ensemble="rationalAngle", seed=4)

@@ -6,20 +6,22 @@ eigenvector sets computed by np.linalg.eig.
 """
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from logroots import (
+    DEFAULT,
     LocalSpectra,
     MonodromyRep,
     analyze,
     build_from_pslz,
     character,
     chern_class,
+    classify,
     common_invariant_subspaces,
-    inherit_spectra,
     local_spectra,
     trivial,
 )
@@ -213,6 +215,26 @@ class TestAnalyze:
                     t = pinv @ m @ p
                     assert np.linalg.norm(t[k:, :k]) < 1e-6 * np.linalg.norm(m)
 
+    def test_dim2_sequence_basis_is_unitary(self, rng):
+        # a dim-2 sequence's P = [v, v'] is unitary, P^H M P is upper
+        # triangular, and its diagonal holds the sub and quotient values
+        for _ in range(50):
+            rep = conjugated_block_pair(rng, (1, 1))
+            for seq in analyze(rep).sequences:
+                p = seq.basis_change
+                assert np.allclose(p.conj().T @ p, np.eye(2), atol=1e-12)
+                for m, sub, quotient in ((rep.m0, seq.sub_rep.m0,
+                                          seq.quotient_rep.m0),
+                                         (rep.m1, seq.sub_rep.m1,
+                                          seq.quotient_rep.m1)):
+                    t = p.conj().T @ m @ p
+                    scale = np.linalg.norm(m)
+                    assert abs(t[1, 0]) < 1e-6 * scale
+                    assert t[0, 0] == pytest.approx(sub[0, 0],
+                                                    abs=1e-6 * scale)
+                    assert t[1, 1] == pytest.approx(quotient[0, 0],
+                                                    abs=1e-6 * scale)
+
     def test_sequence_sub_and_quotient_dims(self, worked_example):
         comp = analyze(worked_example)
         assert comp.kind == "both"
@@ -224,29 +246,117 @@ def _multiset(spectrum):
     return Counter({(ev.value, ev.q): ev.multiplicity for ev in spectrum})
 
 
+def _values(spectrum):
+    return [ev.value for ev in spectrum for _ in range(ev.multiplicity)]
+
+
+def _match_all(got, want, radius):
+    """Whether the values ``got`` and ``want`` pair off one to one, each
+    pair within ``radius``."""
+    rest = list(want)
+    for z in got:
+        near = [k for k, w in enumerate(rest) if abs(z - w) <= radius]
+        if not near:
+            return False
+        rest.pop(near[0])
+    return not rest
+
+
+def _block_spectra(b0, b1):
+    """Reference spectra of a part from its blocks: numpy eigvals at 0 and
+    1, and the inverted eigvals of the product at infinity."""
+    return (np.linalg.eigvals(b0), np.linalg.eigvals(b1),
+            1.0 / np.linalg.eigvals(b0 @ b1))
+
+
+def _sequence_blocks(rep, seq):
+    """The diagonal blocks (sub, quotient) of P^-1 M P for M0 and M1."""
+    p = seq.basis_change
+    pinv = np.linalg.inv(p)
+    k = seq.sub_dim
+    t0, t1 = (pinv @ m @ p for m in (rep.m0, rep.m1))
+    return (t0[:k, :k], t1[:k, :k]), (t0[k:, k:], t1[k:, k:])
+
+
+def conjugated_character_sum(rng, n):
+    """A direct sum of n characters (d0[k], d1[k]), conjugated by a
+    random invertible P; returns the rep and the planted pairs."""
+    d0, d1 = (np.exp(rng.uniform(-0.5, 0.5, n)
+                     + 2j * np.pi * rng.uniform(0, 1, n)) for _ in range(2))
+    p = random_invertible(rng, n)
+    pinv = np.linalg.inv(p)
+    rep = MonodromyRep(p @ np.diag(d0) @ pinv, p @ np.diag(d1) @ pinv)
+    return rep, list(zip(d0, d1))
+
+
 class TestInheritedSpectra:
-    def _check_partition(self, rep, exact):
-        # every sequence's sub and quotient split the parent's record at
-        # each pole, and their degrees add up to the parent's
-        parent = local_spectra(rep, exact=exact)
+    """Every sub, quotient and summand takes its spectra from its parent's
+    record, split by the eigenvalue pair that found it.  The references
+    are numpy eigvals of the part's own blocks, planted characters, and
+    Fraction sums of planted angles."""
+
+    def _check(self, rep, exact=False, tol=DEFAULT):
+        """Check every sequence and summand of ``rep``; returns its degree
+        and the number of parts checked."""
+        parent = local_spectra(rep, tol, exact)
         c1 = chern_class(rep, spectra=parent).c1
-        comp = analyze(rep, spectra=parent)
-        assert comp.sequences
-        for seq in comp.sequences:
-            sub = inherit_spectra(parent, seq.sub_rep)
-            quotient = inherit_spectra(parent, seq.quotient_rep)
+        comp = analyze(rep, tol, spectra=parent)
+        radii = [tol.eps_cluster * max(abs(ev.value) for ev in pole)
+                 for pole in parent.poles]
+        shares = [((seq.sub_rep, seq.sub_spectra),
+                   (seq.quotient_rep, seq.quotient_spectra),
+                   _sequence_blocks(rep, seq)) for seq in comp.sequences]
+        if comp.components:
+            shares.append(tuple(zip(comp.components, comp.component_spectra))
+                          + (tuple((c.m0, c.m1) for c in comp.components),))
+        for first, second, blocks in shares:
+            for (_, spectra), (b0, b1) in zip((first, second), blocks):
+                assert spectra.exact == exact
+                for pole, want, radius in zip(spectra.poles,
+                                              _block_spectra(b0, b1), radii):
+                    assert _match_all(_values(pole), want, radius)
             for pole in range(3):
-                assert _multiset(sub.poles[pole]) \
-                    + _multiset(quotient.poles[pole]) \
+                assert _multiset(first[1].poles[pole]) \
+                    + _multiset(second[1].poles[pole]) \
                     == _multiset(parent.poles[pole])
-            assert chern_class(seq.sub_rep, spectra=sub).c1 \
-                + chern_class(seq.quotient_rep, spectra=quotient).c1 == c1
-        return c1
+            assert sum(chern_class(part, spectra=spectra).c1
+                       for part, spectra in (first, second)) == c1
+        return c1, len(shares)
 
     @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (1, 1, 1)])
     def test_float_parts_partition_the_parent(self, rng, dims):
         for _ in range(20):
-            self._check_partition(conjugated_block_pair(rng, dims), False)
+            _, checked = self._check(conjugated_block_pair(rng, dims))
+            assert checked >= 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_conjugated_character_sums(self, rng, n):
+        # the character summand is one planted pair (d0[k], d1[k]) at 0, 1
+        # and infinity, and the other summand holds the remaining pairs
+        for _ in range(20):
+            rep, planted = conjugated_character_sum(rng, n)
+            comp = analyze(rep)
+            assert comp.kind == "decomposable"
+            rest, char = comp.component_spectra
+            (l,), (m,), (inf,) = (_values(pole) for pole in char.poles)
+            k = min(range(n), key=lambda k: abs(planted[k][0] - l)
+                    + abs(planted[k][1] - m))
+            others = planted[:k] + planted[k + 1:]
+            for got, want in ((l, planted[k][0]), (m, planted[k][1]),
+                              (inf, 1 / (planted[k][0] * planted[k][1]))):
+                assert got == pytest.approx(want, abs=1e-9)
+            for pole, want in zip(rest.poles,
+                                  ([a for a, _ in others],
+                                   [b for _, b in others],
+                                   [1 / (a * b) for a, b in others])):
+                assert _match_all(_values(pole), want, 1e-9)
+            _, checked = self._check(rep)
+            assert checked == len(comp.sequences) + 1
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_worked_example(self, worked_example, exact):
+        c1, checked = self._check(worked_example, exact)
+        assert (c1, checked) == (-3, 3)
 
     def test_exact_parts_partition_the_parent(self, rng):
         # upper triangular with planted rational angles; the reference
@@ -267,37 +377,89 @@ class TestInheritedSpectra:
                            + np.triu(rng.uniform(-1, 1, (3, 3)), k=1))
                       @ u.conj().T for qs in (q0, q1))
             expected = -(sum(q0) + sum(q1) + sum(q_inf))
-            rep = MonodromyRep(m0, m1)
-            assert self._check_partition(rep, True) == expected
+            c1, _ = self._check(MonodromyRep(m0, m1), exact=True)
+            assert c1 == expected
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_unmatched_block_eigenvalue_is_refused(self, worked_example,
                                                    exact):
+        # no eigenvalue at infinity is the inverse of a character's l*m
         parent = local_spectra(worked_example, exact=exact)
-        stranger = character(angle(0.123), angle(0.456))
+        turned = tuple(replace(ev, value=ev.value * angle(0.123))
+                       for ev in parent.poles[2])
+        doctored = LocalSpectra(parent.poles[:2] + (turned,), exact)
         with pytest.raises(InconsistentCertificate,
                            match="of 0 parent eigenvalues"):
-            inherit_spectra(parent, stranger)
+            classify(worked_example, spectra=doctored)
 
     def test_ambiguous_match_is_refused(self):
-        # two parent eigenvalues within eps_cluster of the block's
-        close = local_spectra(MonodromyRep(np.diag([1.0, 1.0 + 5e-8]),
-                                           np.eye(2)))
-        assert len(close.poles[0]) == 1  # merged by the cluster radius
-        parent = LocalSpectra((local_spectra(character(1.0, 1.0)).poles[0]
-                               + local_spectra(character(1.0 + 5e-8, 1.0)
-                                               ).poles[0],)
-                              + close.poles[1:])
+        # two eigenvalues at infinity within eps_cluster of each 1/(l*m)
+        rep = MonodromyRep(np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
+        parent = local_spectra(rep)
+        doubled = tuple(twin for ev in parent.poles[2]
+                        for twin in (ev, replace(ev, value=ev.value + 5e-8)))
+        doctored = LocalSpectra(parent.poles[:2] + (doubled,))
         with pytest.raises(InconsistentCertificate,
                            match="of 2 parent eigenvalues"):
-            inherit_spectra(parent, character(1.0 + 2e-8, 1.0))
+            analyze(rep, spectra=doctored)
 
     def test_parent_multiplicity_is_not_exceeded(self):
-        parent = local_spectra(MonodromyRep(np.diag([1j, -1.0, 1.0]),
-                                            np.diag([-1j, -1.0, 1.0])))
-        twice = MonodromyRep(1j * np.eye(2), -1j * np.eye(2))
-        with pytest.raises(InconsistentCertificate, match="multiplicity"):
-            inherit_spectra(parent, twice)
+        # a repeated eigenvalue is shared out one at a time: every part
+        # takes at most the parent's multiplicity, and the shares add up
+        rep = MonodromyRep(np.diag([1j, 1j, -1.0]), np.diag([-1j, -1j, 2.0]))
+        _, checked = self._check(rep)
+        comp = analyze(rep)
+        assert comp.kind == "decomposable" and comp.non_isolated
+        parent = local_spectra(rep)
+        assert [ev.multiplicity for ev in parent.poles[0]] == [2, 1]
+        for spectra in comp.component_spectra + tuple(
+                s for seq in comp.sequences
+                for s in (seq.sub_spectra, seq.quotient_spectra)):
+            for pole, whole in zip(spectra.poles, parent.poles):
+                assert all(_multiset(pole)[key] <= k
+                           for key, k in _multiset(whole).items())
+        assert checked == len(comp.sequences) + 1
+
+
+class TestPartsSolveNothing:
+    """The mechanism: a part's spectra are read off its parent's record,
+    and a character part needs no change of basis."""
+
+    def _spy(self, monkeypatch, *names):
+        """The names of the ``np.linalg`` functions ``names`` as called."""
+        calls = []
+        for name in names:
+            def spy(*args, _real=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_flag_of_characters_makes_no_eigvals_call(self, rng,
+                                                      monkeypatch):
+        rep = conjugated_block_pair(rng, (1, 1, 1))
+        spectra = local_spectra(rep)
+        calls = self._spy(monkeypatch, "eigvals")
+        res = classify(rep, spectra=spectra)
+        assert res.composition_kind == "both" and len(res.parts) == 2
+        assert calls == []
+        local_spectra(rep)  # the spy sees a solve
+        assert calls == ["eigvals"]
+
+    def test_dim2_sequence_makes_no_qr_or_inv_call(self, rng, monkeypatch):
+        flag = conjugated_block_pair(rng, (1, 1))
+        summands, _ = conjugated_character_sum(rng, 2)
+        calls = self._spy(monkeypatch, "qr", "inv")
+        assert classify(flag).composition_kind == "sub1"
+        assert classify(summands).composition_kind == "decomposable"
+        assert len(analyze(flag).sequences) == 1
+        assert len(analyze(summands).sequences) == 2
+        assert calls == []
+        # the spy sees a dim-3 sequence's change of basis
+        analyze(conjugated_block_pair(rng, (2, 1))).sequences
+        assert {"qr", "inv"} <= set(calls)
 
 
 class TestIsIrreducible:

@@ -3,10 +3,12 @@ line, computed from a pair of monodromy matrices at the punctures 0 and 1.
 
 The public surface mirrors the pipeline: eigenvalue/branch bookkeeping
 (:mod:`logroots.linalg`), each rep's local spectra (computed once and
-split among its sub, quotient and summand reps) and composition structure
+split among its sub, quotient and summand reps) and composition structure,
+its parts read off one incidence matrix of its lines and planes
 (:mod:`logroots.rep`), the degree of the extension (:mod:`logroots.chern`),
-the splitting type itself (:mod:`logroots.classify`), and randomized
-cross-checks (:mod:`logroots.oracle`).
+the splitting type itself, classifying each rep once
+(:mod:`logroots.classify`), and randomized cross-checks
+(:mod:`logroots.oracle`).
 """
 
 from .chern import ChernData, chern_bound_check, chern_class, unitarity_test

@@ -7,7 +7,8 @@ matrix's spectrum.  The ln-r parts cancel across the poles (determinant
 coherence) and the q parts sum to an integer, which is -c1.  The spectra
 are the rep's one spectral record (:func:`logroots.rep.local_spectra`);
 a sub, quotient or summand reads its share of its parent's record, which
-:func:`logroots.rep.analyze` split off.
+:func:`logroots.rep.analyze` split off, and a character's degree is
+computed once per eigenvalue triple.
 """
 
 from __future__ import annotations

@@ -8,23 +8,26 @@ surfaced, never guessed.
 
 Each rep's local spectra are computed once (:func:`logroots.rep.local_spectra`)
 and feed both its degree and its invariant-subspace analysis.  A reducible
-rep's summands, or the subs and quotients of its short exact sequences,
-take their spectra from the analysis, which splits them off the rep's
-(:func:`logroots.rep.analyze`), and are classified once each by
-:func:`classify`, proven bounds included; the case tables then read their
-roots.
+rep is classified once, from one analysis (:func:`logroots.rep.analyze`):
+its summands, or the subs and quotients of its short exact sequences, take
+their spectra split off the rep's and their structure read off the same
+incidence matrix of its lines and planes.  One function solves the rep
+and each of its parts alike, degree and proven bounds included, and a
+character's root is computed once per eigenvalue triple; the case tables
+then read the parts' roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .chern import ChernData, chern_bound_check, chern_class
 from .config import DEFAULT, Tolerances
 from .errors import (DimensionError, EmptyIntersection, LogrootsError,
                      RootOutOfProvenRange)
-from .rep import LocalSpectra, MonodromyRep, analyze, local_spectra
+from .rep import (CompositionData, LocalSpectra, MonodromyRep, analyze,
+                  local_spectra)
 
 
 @dataclass(frozen=True, order=True)
@@ -60,7 +63,7 @@ class SplittingResult:
     composition_kind: Optional[str] = None
     non_isolated: bool = False
     # a reducible rep's two summands, or else the sub and quotient of its
-    # first short exact sequence, each as classify returned it
+    # first short exact sequence, each as the tables read it
     parts: tuple["SplittingResult", ...] = ()
 
     @property
@@ -74,7 +77,9 @@ def character_root(chi: MonodromyRep, tol: Tolerances = DEFAULT,
     because three branch angles in [0, 1) sum to an integer."""
     if chi.n != 1:
         raise DimensionError("character_root needs a one-dimensional rep")
-    return classify(chi, tol, exact).options[0].roots[0]
+    return _solve(chi, local_spectra(chi, tol, exact),
+                  lambda: CompositionData(kind="irreducible"), tol,
+                  {}).options[0].roots[0]
 
 
 def ext_splits(sub_roots: SplittingType, quotient_roots: SplittingType) -> bool:
@@ -250,39 +255,44 @@ def classify(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     ``spectra`` is the rep's local spectra, computed here in the mode
     ``exact`` when not given; a given record's own mode decides.  It is
     the only spectral input of the degree and of the invariant-subspace
-    analysis.  Every sub, quotient or summand the tables read is
-    classified once, by this function, on the spectra the analysis split
-    off this record for it.
+    analysis.  Every sub, quotient or summand the tables read is solved
+    once, on the spectra the analysis split off this record for it and
+    the structure it read off this rep's.
     Verifies the sum rule and every proven bound before returning.
     """
     if spectra is None:
         spectra = local_spectra(rep, tol, exact)
-    chern = chern_class(rep, tol, spectra=spectra)
-    comp = analyze(rep, tol, spectra)
+    return _solve(rep, spectra, lambda: analyze(rep, tol, spectra), tol, {})
 
-    n, z = rep.n, chern.c1
+
+def _solve(rep: MonodromyRep, spectra: LocalSpectra,
+           structure: Callable[[], CompositionData], tol: Tolerances,
+           characters: dict) -> SplittingResult:
+    """The result of ``rep`` with ``spectra`` and the callable that builds
+    its ``structure``: the rep classified, or one of its parts, whose own
+    parts it solves in turn.  A character is solved once per eigenvalue
+    triple: ``characters`` holds the results by spectra."""
+    n = rep.n
+    if n == 1 and spectra in characters:
+        return characters[spectra]
+    chern = chern_class(rep, tol, spectra=spectra)
+    comp = structure()
+
+    z = chern.c1
     # the results of a decomposable rep's two summands, or of the sub and
-    # quotient of each short exact sequence the tables read
-    splits = []
+    # quotient of each short exact sequence
+    splits = [tuple(_solve(p.rep, p.spectra, p.structure, tol, characters)
+                    for p in pair) for pair in comp._parts()]
     if comp.kind == "irreducible":
         options, provenance, notes = _roots_irreducible(n, z)
     elif comp.kind == "decomposable":
-        splits = [tuple(classify(part, tol, spectra=part_spectra)
-                        for part, part_spectra
-                        in zip(comp.components, comp.component_spectra))]
         options, provenance, notes = _roots_direct_sum(n, *splits[0])
-    else:
-        # a dim-2 rep is read off its first sequence; a dim-3 rep
+    elif n == 2:
+        # a dim-2 rep is read off its one sequence; a dim-3 rep
         # intersects the candidate sets of all of them
-        splits = [(classify(seq.sub_rep, tol, spectra=seq.sub_spectra),
-                   classify(seq.quotient_rep, tol,
-                            spectra=seq.quotient_spectra))
-                  for seq in (comp.sequences[:1] if n == 2
-                              else comp.sequences)]
-        if n == 2:
-            options, provenance, notes = _roots_dim2_sequence(*splits[0])
-        else:
-            options, provenance, notes = _roots_dim3_sequences(splits)
+        options, provenance, notes = _roots_dim2_sequence(*splits[0])
+    else:
+        options, provenance, notes = _roots_dim3_sequences(splits)
 
     for opt in options:
         if opt.total != z:
@@ -300,7 +310,7 @@ def classify(rep: MonodromyRep, tol: Tolerances = DEFAULT,
 
     opts = tuple(sorted(set(options), reverse=True))
     weights = [-max(o.roots) for o in opts]
-    return SplittingResult(
+    result = SplittingResult(
         status="determined" if len(opts) == 1 else "candidates",
         options=opts,
         provenance=tuple(provenance),
@@ -311,3 +321,6 @@ def classify(rep: MonodromyRep, tol: Tolerances = DEFAULT,
         non_isolated=comp.non_isolated,
         parts=splits[0] if splits else (),
     )
+    if n == 1:
+        characters[spectra] = result
+    return result

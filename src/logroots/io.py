@@ -2,8 +2,8 @@
 against ``schema/input.schema.json`` in the same pass, and output document
 construction for batch classification.  Each rep's record is built from
 one ``classify`` result: its degree, composition, roots and the roots of
-its first sequence's sub and quotient (or of its summands), which
-``classify`` classified from their shares of the rep's own spectra.
+its first sequence's sub and quotient (or of its summands), which that
+one call read off the rep's own spectra and analysis.
 
 A document's linear algebra is done first, for all its reps at once: the
 local spectra of every M0, M1 and M0*M1 in one LAPACK call per dimension

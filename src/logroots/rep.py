@@ -4,8 +4,9 @@ A representation is the pair (M0, M1) of images of the two free generators;
 the loop around infinity maps to (M0*M1)^{-1}.  This module computes the
 branched spectra of the three local monodromies once per rep
 (:func:`local_spectra`), detects common invariant subspaces,
-irreducibility and decomposability from those spectra, and extracts the
-sub/quotient representations of a short exact sequence.  Each invariant
+irreducibility and decomposability from those spectra, and reads the
+structure of every sub, quotient and summand off one incidence matrix
+of the lines and planes found (:func:`analyze`).  Each invariant
 subspace carries the pair of eigenvalues, at 0 and at 1, whose pencil
 found the character it splits off; that character takes those two and
 the parent eigenvalue at infinity matching their product's inverse, and
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -153,10 +154,18 @@ def _invariance_residual(rep: MonodromyRep, basis: np.ndarray) -> float:
     return res / _scale(rep)
 
 
-def _subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Gap between subspaces with orthonormal column bases of equal dim."""
-    s = np.linalg.svd(a.conj().T @ b, compute_uv=False)
-    return float(np.sqrt(max(0.0, 1.0 - np.min(s) ** 2)))
+def _line_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Gap between the lines spanned by unit vectors a and b."""
+    return float(np.sqrt(max(0.0, 1.0 - abs(np.vdot(a, b)) ** 2)))
+
+
+# Two found subspaces are one below this gap, and a found line lies in a
+# found plane while |w^T v| is below it, for the line's unit vector v and
+# the plane's unit normal w; above it the two are a direct sum.  On 525
+# dim-3 reps from float-batch and exact-batch (seed 31) with lines and
+# planes, contained pairs gave |w^T v| <= 1.9e-15 and complementary pairs
+# >= 0.55.
+_GAP = 1e-6
 
 
 def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
@@ -180,7 +189,7 @@ def _common_lines(m0: np.ndarray, m1: np.ndarray, spectra: LocalSpectra,
         vec = vec / np.linalg.norm(vec)
         basis = vec.reshape(-1, 1)
         for other in found:
-            if _subspace_distance(basis, other.basis) < max(tol.eps_inv, 1e-6):
+            if _line_gap(vec, other.basis[:, 0]) < max(tol.eps_inv, _GAP):
                 return
         res = 0.0
         for m in (m0, m1):
@@ -241,29 +250,23 @@ def common_invariant_subspaces(rep: MonodromyRep, k: int,
         spectra = local_spectra(rep, tol)
     if k == 1:
         return _common_lines(rep.m0, rep.m1, spectra, tol)
-    # k == n - 1: annihilators of common eigenvectors of the transposes
-    lines = _common_lines(rep.m0.T, rep.m1.T, spectra, tol)
+    # k == n - 1: annihilators of common eigenvectors of the transposes;
+    # the gap between two planes is that between their normals, which
+    # the line search has already deduplicated
     out = []
-    for line in lines:
-        w = line.basis[:, 0]
-        basis = _row_annihilator(w)
+    for line in _common_lines(rep.m0.T, rep.m1.T, spectra, tol):
+        basis = _complement(line.basis.conj())  # {v : w^T v = 0}
         out.append(InvariantSubspace(dim=n - 1, basis=basis,
                                      residual_norm=_invariance_residual(rep, basis),
                                      pair=line.pair,
                                      non_isolated=line.non_isolated))
-    # deduplicate
-    dedup: list[InvariantSubspace] = []
-    for sub in out:
-        if all(_subspace_distance(sub.basis, o.basis) >= max(tol.eps_inv, 1e-6)
-               for o in dedup):
-            dedup.append(sub)
-    return dedup
+    return out
 
 
-def _row_annihilator(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {v : w^T v = 0} (bilinear, not Hermitian, pairing)."""
-    _, _, vh = np.linalg.svd(w.reshape(1, -1))
-    return vh.conj().T[:, 1:]
+def _complement(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of span(basis)."""
+    _, _, vh = np.linalg.svd(basis.conj().T)
+    return vh.conj().T[:, basis.shape[1]:]
 
 
 def _match_at_infinity(z: complex,
@@ -280,10 +283,12 @@ def _match_at_infinity(z: complex,
     return near[0]
 
 
-def _split(spectra: LocalSpectra, pair: tuple[int, int],
+def _split(spectra: LocalSpectra, pair: tuple[int, int], line_is_sub: bool,
            tol: Tolerances) -> tuple[LocalSpectra, LocalSpectra]:
-    """The spectra of the character that ``pair`` indexes and of its
-    complement, which partition ``spectra`` at each pole.
+    """The spectra (sub, quotient) of the sequence whose character ``pair``
+    indexes in ``spectra``: the character is the sub when the subspace
+    that found it is the sub line (``line_is_sub``), else the quotient by
+    it.  The two partition ``spectra`` at each pole.
 
     The character takes the pair's eigenvalues l at 0 and m at 1, and the
     eigenvalue at infinity that 1/(l m) matches; the complement takes the
@@ -293,8 +298,9 @@ def _split(spectra: LocalSpectra, pair: tuple[int, int],
     i, j = pair
     product = spectra.poles[0][i].value * spectra.poles[1][j].value
     at = (i, j, _match_at_infinity(1.0 / product, spectra.poles[2], tol))
-    char, rest = zip(*(_take(pole, k) for pole, k in zip(spectra.poles, at)))
-    return LocalSpectra(char, spectra.exact), LocalSpectra(rest, spectra.exact)
+    char, rest = (LocalSpectra(poles, spectra.exact) for poles in
+                  zip(*(_take(pole, k) for pole, k in zip(spectra.poles, at))))
+    return (char, rest) if line_is_sub else (rest, char)
 
 
 def _take(pole: tuple[BranchedEigenvalue, ...], k: int):
@@ -312,23 +318,77 @@ def _character_of(spectra: LocalSpectra) -> MonodromyRep:
     return character(spectra.poles[0][0].value, spectra.poles[1][0].value)
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """One short exact sequence 0 -> sub -> rep -> quotient -> 0.
+@dataclass(frozen=True, eq=False)
+class _Part:
+    """A sub, quotient or summand of a rep: its spectra, its representation
+    and the callable that builds its structure.  By default it is a
+    character, whose representation is read off its spectra when read."""
 
-    In the basis ``basis_change`` P both generators are block upper
-    triangular, P^-1 M P, with the sub and the quotient on the diagonal.
-    Their spectra partition the rep's.  In a dim-2 rep both parts are
-    characters, read off their spectra, and P is the unitary [v, v'] of
-    the sub's unit vector v.
+    spectra: LocalSpectra
+    _rep: Optional[MonodromyRep] = None
+    structure: Callable[[], "CompositionData"] = \
+        lambda: CompositionData(kind="irreducible")
+
+    @cached_property
+    def rep(self) -> MonodromyRep:
+        return self._rep or _character_of(self.spectra)
+
+
+def _incident(gaps: np.ndarray, found: list[InvariantSubspace],
+              parent: LocalSpectra, share: LocalSpectra,
+              line_is_sub: bool) -> list[tuple[tuple[int, int], bool]]:
+    """The invariant lines of a dim-2 part with spectra ``share`` of a
+    dim-3 rep with spectra ``parent``, as ``_planar`` takes them, read off
+    the part's incidences ``gaps`` with the rep's subspaces ``found``:
+    the lines in a plane, or the planes through a line.
+
+    The d subspaces found for one pair span the null space N of its
+    pencil (for planes, in the transposed search).  With d = 1, N meets
+    the part iff its gap is zero.  With d >= 2, N meets it in one line,
+    or in two when every one of them does or d = 3: the part is then
+    scalar on that pair.  A pair whose eigenvalue ``share`` lacks gives no
+    line.
+    """
+    lines = []
+    for pair, group in itertools.groupby(zip(gaps, found),
+                                         key=lambda g: g[1].pair):
+        group = [gap for gap, _ in group]
+        # the pair's eigenvalues, indexed in the part's spectra
+        local = tuple(next((k for k, ev in enumerate(pole)
+                            if ev.value == whole[i].value), None)
+                      for i, whole, pole in zip(pair, parent.poles,
+                                                share.poles))
+        if None not in local:
+            count = len(group) - 1 + all(gap <= _GAP for gap in group)
+            lines += [(local, line_is_sub)] * min(2, count)
+    return lines
+
+
+@dataclass(frozen=True, eq=False)
+class Sequence:
+    """One short exact sequence 0 -> sub -> rep -> quotient -> 0, with
+    ``sub_dim``, ``sub_rep``, ``quotient_rep``, ``sub_spectra``,
+    ``quotient_spectra`` and ``basis_change``.
+
+    ``basis_change`` is the unitary P = [B, B'] of an orthonormal basis B
+    of the sub and B' of its orthogonal complement, in which both
+    generators are block upper triangular, P^H M P.  A character sub or
+    quotient is read off its spectra; a dim-2 one is its diagonal block.
+    Their spectra partition the rep's.
     """
 
     sub_dim: int
-    sub_rep: MonodromyRep
-    quotient_rep: MonodromyRep
-    basis_change: np.ndarray
-    sub_spectra: LocalSpectra
-    quotient_spectra: LocalSpectra
+    _sub: _Part = field(repr=False)
+    _quotient: _Part = field(repr=False)
+    _basis: np.ndarray = field(repr=False)
+
+    sub_rep = property(lambda self: self._sub.rep)
+    quotient_rep = property(lambda self: self._quotient.rep)
+    sub_spectra = property(lambda self: self._sub.spectra)
+    quotient_spectra = property(lambda self: self._quotient.spectra)
+
+    basis_change = property(
+        lambda self: np.hstack([self._basis, _complement(self._basis)]))
 
 
 @dataclass(frozen=True)
@@ -339,52 +399,27 @@ class CompositionData:
     For decomposable reps ``components`` holds the direct summands and
     ``component_spectra`` their spectra, which partition the rep's.
     ``sequences`` lists every short exact sequence found,
-    (n-1)-dimensional subs first; they are built when first read.
+    (n-1)-dimensional subs first.  All are built when first read.
     """
 
     kind: str
     sigma: Optional[complex] = None
-    components: tuple[MonodromyRep, ...] = ()
-    component_spectra: tuple[LocalSpectra, ...] = ()
     non_isolated: bool = False
+    # the pairs of parts the case tables read: a decomposable rep's two
+    # summands, or else the sub and quotient of each sequence
+    _parts: Callable[[], tuple[tuple[_Part, _Part], ...]] = field(
+        default=tuple, repr=False, compare=False)
     _sequences: Callable[[], tuple[Sequence, ...]] = field(
         default=tuple, repr=False, compare=False)
 
-    @cached_property
-    def sequences(self) -> tuple[Sequence, ...]:
-        return self._sequences()
+    sequences = cached_property(lambda self: self._sequences())
+    components = property(
+        lambda self: tuple(part.rep for part in self._summands()))
+    component_spectra = property(
+        lambda self: tuple(part.spectra for part in self._summands()))
 
-
-def _complete_basis(basis: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis."""
-    n = basis.shape[0]
-    q, _ = np.linalg.qr(np.hstack([basis, np.eye(n, dtype=complex)]))
-    # first columns of q span the same space as basis; use basis itself
-    rest = q[:, basis.shape[1]:n]
-    return np.hstack([basis, rest])
-
-
-def _sequence_from_subspace(rep: MonodromyRep, spectra: LocalSpectra,
-                            sub: InvariantSubspace,
-                            tol: Tolerances) -> Sequence:
-    k = sub.dim
-    char, rest = _split(spectra, sub.pair, tol)
-    # the character is a line's sub, or the quotient by a plane
-    sub_spectra, quo_spectra = (char, rest) if k == 1 else (rest, char)
-    if rep.n == 2:
-        a, b = sub.basis[:, 0]
-        p = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
-        sub_rep, quo_rep = _character_of(char), _character_of(rest)
-    else:
-        p = _complete_basis(sub.basis)
-        pinv = np.linalg.inv(p)
-        t0 = pinv @ rep.m0 @ p
-        t1 = pinv @ rep.m1 @ p
-        sub_rep = MonodromyRep(t0[:k, :k], t1[:k, :k])
-        quo_rep = MonodromyRep(t0[k:, k:], t1[k:, k:])
-    return Sequence(sub_dim=k, sub_rep=sub_rep, quotient_rep=quo_rep,
-                    basis_change=p, sub_spectra=sub_spectra,
-                    quotient_spectra=quo_spectra)
+    def _summands(self) -> tuple[_Part, ...]:
+        return self._parts()[0] if self.kind == "decomposable" else ()
 
 
 def _sigma_certificate(rep: MonodromyRep, spectra: LocalSpectra,
@@ -405,12 +440,46 @@ def _sigma_certificate(rep: MonodromyRep, spectra: LocalSpectra,
     return sigma, abs(sigma) > tol.eps_sigma * scale
 
 
+def _planar(rep: MonodromyRep, spectra: LocalSpectra, lines: list,
+            tol: Tolerances, sequences: Callable = tuple) -> CompositionData:
+    """The structure of the dim-2 ``rep`` with ``spectra`` whose invariant
+    lines are ``lines``, in order, each given to ``_split`` as the pair of
+    the character it splits off and whether it is the sub line.  A rep
+    analysed on its own passes the builder of its public ``sequences``; a
+    part of a dim-3 rep has none.
+
+    The sigma certificate must agree that a line exists.  Two lines are
+    complementary: the rep is the sum of the characters the second one
+    splits it into; two lines of one pair make it scalar there.
+    """
+    sigma, sigma_nonzero = _sigma_certificate(rep, spectra, tol)
+    if bool(lines) == sigma_nonzero:
+        raise InconsistentCertificate(
+            f"subspace search found {len(lines)} invariant line(s) but "
+            f"|sigma| = {abs(sigma):.3e}; rerun with exact angles")
+    if not lines:
+        return CompositionData(kind="irreducible", sigma=sigma)
+    non_isolated = len({pair for pair, _ in lines}) < len(lines)
+    if len(lines) > 1:
+        summands = tuple(map(_Part, _split(spectra, lines[1][0], False, tol)))
+        return CompositionData("decomposable", sigma, non_isolated,
+                               lambda: (summands,), sequences)
+    return CompositionData("sub1", sigma, non_isolated, lambda: (
+        tuple(map(_Part, _split(spectra, *lines[0], tol))),), sequences)
+
+
 def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
             spectra: Optional[LocalSpectra] = None) -> CompositionData:
     """Full invariant-subspace analysis.
 
     The line search, the plane search and the dim-2 sigma certificate all
     read their eigenvalues from ``spectra``, computed here when not given.
+    A dim-3 rep's parts are read off one incidence matrix G = |W^T V| of
+    the unit normals W of its planes and the unit vectors V of its lines.
+    A nonzero entry is a direct sum.  The zeros in a plane's row are the
+    lines in it, the invariant lines of that sub; the zeros in a line's
+    column are the planes through it, the invariant lines of the quotient
+    by it.  So no part is searched again.
     Sequences with an (n-1)-dimensional sub are listed first, matching the
     preference order used by the classifier; when several subspaces exist
     all induced sequences are surfaced so conclusions can be intersected.
@@ -424,62 +493,59 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
         spectra = local_spectra(rep, tol)
 
     lines = common_invariant_subspaces(rep, 1, tol, spectra)
-    planes = common_invariant_subspaces(rep, n - 1, tol, spectra) \
-        if n == 3 else []
-    sigma = None
     if n == 2:
-        sigma, sigma_nonzero = _sigma_certificate(rep, spectra, tol)
-        if bool(lines) == sigma_nonzero:
-            raise InconsistentCertificate(
-                f"subspace search found {len(lines)} invariant line(s) but "
-                f"|sigma| = {abs(sigma):.3e}; rerun with exact angles")
-
+        return _planar(
+            rep, spectra, [(line.pair, True) for line in lines], tol,
+            lambda: tuple(Sequence(1, *map(_Part, _split(
+                spectra, line.pair, True, tol)), line.basis) for line in lines))
+    planes = common_invariant_subspaces(rep, n - 1, tol, spectra)
+    if not lines and not planes:
+        return CompositionData(kind="irreducible")
     non_isolated = any(s.non_isolated for s in lines + planes)
 
-    if not lines and not planes:
-        return CompositionData(kind="irreducible", sigma=sigma)
+    # a plane's normal w = b1 x b2, for its orthonormal basis, is the
+    # transposed eigenvector that found it up to a phase, and
+    # w^T v = det[b1, b2, v]
+    normals = np.array([np.cross(*plane.basis.T) for plane in planes])
+    vectors = np.array([line.basis[:, 0] for line in lines])
+    gaps = np.abs(normals.reshape(-1, n) @ vectors.reshape(-1, n).T)
 
-    # decomposability: a complementary pair of invariant subspaces
-    components: tuple[MonodromyRep, ...] = ()
-    component_spectra: tuple[LocalSpectra, ...] = ()
-    if n == 2:
-        pairs = [(a, b) for a, b in itertools.combinations(lines, 2)]
-    else:
-        pairs = [(pl, ln) for pl in planes for ln in lines]
-    for big, small in pairs:
-        p = np.hstack([big.basis, small.basis])
-        if abs(_det(p)) > 1e-6:
-            # the small summand is the character at its pair, the big one
-            # its complement
-            char, rest = _split(spectra, small.pair, tol)
-            component_spectra = (rest, char)
-            if n == 2:
-                components = (_character_of(rest), _character_of(char))
-            else:
-                pinv = np.linalg.inv(p)
-                t0 = pinv @ rep.m0 @ p
-                t1 = pinv @ rep.m1 @ p
-                k = big.dim
-                components = (MonodromyRep(t0[:k, :k], t1[:k, :k]),
-                              MonodromyRep(t0[k:, k:], t1[k:, k:]))
-            break
+    def dim2(share, basis, incidences, found, line_is_sub) -> _Part:
+        # the dim-2 part with spectra ``share`` acts by the blocks B^H M B
+        # on the orthonormal columns B of a plane, or of the orthogonal
+        # complement of the line it is the quotient by
+        block = MonodromyRep(*(basis.conj().T @ m @ basis
+                               for m in (rep.m0, rep.m1)))
+        lines_in = _incident(incidences, found, spectra, share, line_is_sub)
+        return _Part(share, block, lambda: _planar(block, share, lines_in, tol))
 
-    if components:
-        kind = "decomposable"
-    elif n == 2:
-        kind = "sub1"
-    elif planes and lines:
-        kind = "both"
-    elif planes:
-        kind = "sub2"
-    else:
-        kind = "sub1"
+    @cache
+    def sequences() -> tuple[Sequence, ...]:
+        out = []
+        for i, plane in enumerate(planes):
+            sub, quotient = _split(spectra, plane.pair, False, tol)
+            out.append(Sequence(2, dim2(sub, plane.basis, gaps[i], lines, True),
+                                _Part(quotient), plane.basis))
+        for j, line in enumerate(lines):
+            sub, quotient = _split(spectra, line.pair, True, tol)
+            out.append(Sequence(1, _Part(sub), dim2(
+                quotient, _complement(line.basis), gaps[:, j], planes, False),
+                line.basis))
+        return tuple(out)
 
-    return CompositionData(
-        kind=kind, sigma=sigma, components=components,
-        component_spectra=component_spectra, non_isolated=non_isolated,
-        _sequences=lambda: tuple(_sequence_from_subspace(rep, spectra, s, tol)
-                                 for s in planes + lines))
+    hits = np.argwhere(gaps > _GAP)
+    if len(hits):
+        # the first complementary pair, planes first: the line is the
+        # character summand and the plane its complement
+        i, j = hits[0]
+        rest, char = _split(spectra, lines[j].pair, False, tol)
+        summands = cache(lambda: (
+            dim2(rest, planes[i].basis, gaps[i], lines, True), _Part(char)))
+        return CompositionData("decomposable", None, non_isolated,
+                               lambda: (summands(),), sequences)
+    kind = "both" if planes and lines else "sub2" if planes else "sub1"
+    return CompositionData(kind, None, non_isolated, lambda: tuple(
+        (seq._sub, seq._quotient) for seq in sequences()), sequences)
 
 
 def build_from_pslz(t_eigenvalues, s_matrix,

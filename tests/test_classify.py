@@ -14,7 +14,7 @@ from logroots import (
     classify,
     ext_splits,
 )
-from logroots import analyze, chern_class, local_spectra
+from logroots import analyze, chern_class, classify_document, local_spectra
 from logroots.classify import _roots_irreducible
 from logroots.errors import DimensionError, RootOutOfProvenRange
 
@@ -82,6 +82,62 @@ def upper_triangular_pair(diag0, diag1, coupling=1.0):
     m1 = np.diag([complex(angle(q)) for q in diag1]) + \
         coupling * np.triu(np.ones((n, n)), k=1)
     return MonodromyRep(m0.astype(complex), m1.astype(complex))
+
+
+def conjugated(rng, m0, m1):
+    """The pair conjugated by a random invertible matrix."""
+    p = random_invertible(rng, m0.shape[0])
+    pinv = np.linalg.inv(p)
+    return MonodromyRep(p @ m0 @ pinv, p @ m1 @ pinv)
+
+
+def flag(rng, dims, blocks=None):
+    """A block upper triangular pair with diagonal blocks of sizes
+    ``dims``, random or the dim-2 ``blocks``, conjugated."""
+    n = sum(dims)
+    m0, m1 = (np.triu(rng.uniform(-1, 1, (n, n))).astype(complex)
+              for _ in range(2))
+    pos = 0
+    for d in dims:
+        b0, b1 = blocks if d == 2 and blocks else (random_invertible(rng, d),
+                                                   random_invertible(rng, d))
+        m0[pos:pos + d, pos:pos + d], m1[pos:pos + d, pos:pos + d] = b0, b1
+        pos += d
+    return conjugated(rng, m0, m1)
+
+
+def character_sum(rng, d0, d1):
+    """The direct sum of the characters (d0[k], d1[k]), conjugated."""
+    return conjugated(rng, np.diag(d0).astype(complex),
+                      np.diag(d1).astype(complex))
+
+
+def direct_sum(rng, plane):
+    """The direct sum of the dim-2 rep ``plane`` and a random character,
+    conjugated."""
+    m0, m1 = (np.zeros((3, 3), dtype=complex) for _ in range(2))
+    for m, b, c in zip((m0, m1), (plane.m0, plane.m1), units(rng, 2)):
+        m[:2, :2], m[2, 2] = b, c
+    return conjugated(rng, m0, m1)
+
+
+def units(rng, k):
+    return [angle(q) for q in rng.uniform(0, 1, k)]
+
+
+# perfbench/workloads.py FAILING_DIM2: a generic dim-2 pair with c1 = -5,
+# whose balanced roots (-2, -3) leave the proven dim-2 window
+FAILING_DIM2 = (
+    np.array([[0.5746810661432135 + 0.20207427370502262j,
+               0.5152102560955301 - 0.6018259792906299j],
+              [0.24111166984872223 + 0.22911171152768767j,
+               0.5978439911458443 - 0.2980913473153968j]]),
+    np.array([[0.7403226234769891 - 0.5808410873001847j,
+               -0.4960947401596337 - 0.39174472285352085j],
+              [-0.33133551213838774 - 0.07521561372571361j,
+               0.031537603422195665 + 0.819658892643917j]]),
+)
+WINDOW_REFUSAL = "dim-2 root bound: root -3 outside (-3, 0]"
 
 
 class TestRootsDim2:
@@ -187,6 +243,60 @@ class TestRootsDim3Reducible:
             assert sub.chern.c1 == own.c1
             for got, want in zip(sub.chern.per_pole, own.per_pole):
                 assert got.q_sum == pytest.approx(want.q_sum, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: flag(rng, (2, 1)),
+        lambda rng: flag(rng, (1, 2)),
+        lambda rng: flag(rng, (1, 1, 1)),
+        lambda rng: character_sum(rng, units(rng, 3), units(rng, 3)),
+        lambda rng: direct_sum(rng, MonodromyRep(random_invertible(rng, 2),
+                                                 random_invertible(rng, 2))),
+        # a plane summand that is itself a sum of two characters; and two
+        # equal characters of root 0, which span a plane N of invariant
+        # lines, beside one of root -2: a plane summand other than N meets
+        # N in a line that the search need not return
+        lambda rng: direct_sum(rng, character_sum(rng, units(rng, 2),
+                                                  units(rng, 2))),
+        lambda rng: character_sum(rng, [1, 1, angle(3 / 4)],
+                                  [1, 1, angle(3 / 4)]),
+    ], ids=["2+1", "1+2", "1+1+1", "three-characters", "plane-summand",
+            "split-plane-summand", "scalar-plane-summand"])
+    def test_parts_match_classify_on_their_own_blocks(self, rng, make):
+        # each part the tables read has the options and degree of its own
+        # blocks classified afresh: their own spectra and their own search
+        for _ in range(10):
+            rep = make(rng)
+            res = classify(rep)
+            comp = analyze(rep)
+            blocks = comp.components if comp.kind == "decomposable" else (
+                comp.sequences[0].sub_rep, comp.sequences[0].quotient_rep)
+            assert len(res.parts) == 2
+            for part, block in zip(res.parts, blocks):
+                own = classify(block)
+                assert (part.options, part.chern.c1) == \
+                    (own.options, own.chern.c1)
+
+    def test_reducible_rep_is_classified_once(self, worked_example,
+                                              monkeypatch):
+        # the parts are read off the rep's analysis, not classified again
+        import importlib
+        lclassify = importlib.import_module("logroots.classify")
+        calls = count_calls(monkeypatch, "classify", "classify")
+        res = lclassify.classify(worked_example)
+        assert res.composition_kind == "both" and len(res.parts) == 2
+        assert calls == [worked_example]
+
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2)])
+    def test_part_window_refusal(self, rng, dims):
+        # a 2-block with c1 = -5 is refused at the part's dim-2 window, by
+        # classify and as a per-rep error record
+        rep = flag(rng, dims, FAILING_DIM2)
+        with pytest.raises(RootOutOfProvenRange) as err:
+            classify(rep)
+        assert str(err.value) == WINDOW_REFUSAL
+        (record,) = classify_document([rep], keep_going=True)["results"]
+        assert record == {"label": None, "n": 3, "error": {
+            "type": "RootOutOfProvenRange", "message": WINDOW_REFUSAL}}
 
     def test_given_spectra_are_used(self, worked_example):
         spectra = local_spectra(worked_example)

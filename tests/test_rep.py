@@ -423,7 +423,7 @@ class TestInheritedSpectra:
 
 class TestPartsSolveNothing:
     """The mechanism: a part's spectra are read off its parent's record,
-    and a character part needs no change of basis."""
+    and no part needs a QR or inverse change of basis."""
 
     def _spy(self, monkeypatch, *names):
         """The names of the ``np.linalg`` functions ``names`` as called."""
@@ -457,9 +457,18 @@ class TestPartsSolveNothing:
         assert len(analyze(flag).sequences) == 1
         assert len(analyze(summands).sequences) == 2
         assert calls == []
-        # the spy sees a dim-3 sequence's change of basis
-        analyze(conjugated_block_pair(rng, (2, 1))).sequences
-        assert {"qr", "inv"} <= set(calls)
+
+    def test_flag_of_characters_makes_no_qr_or_inv_call(self, rng,
+                                                        monkeypatch):
+        # a dim-2 part is its block B^H M B in an orthonormal basis B
+        rep = conjugated_block_pair(rng, (1, 1, 1))
+        spectra = local_spectra(rep)
+        calls = self._spy(monkeypatch, "qr", "inv")
+        res = classify(rep, spectra=spectra)
+        assert res.composition_kind == "both" and len(res.parts) == 2
+        assert calls == []
+        np.linalg.inv(analyze(rep).sequences[0].basis_change)
+        assert calls == ["inv"]  # the spy sees a call
 
 
 class TestIsIrreducible:

@@ -4,8 +4,11 @@ The degree is minus the sum of the residue traces over the three poles
 (0, 1, infinity), and each residue is the principal logarithm of the local
 monodromy, so the trace at a pole is sum(ln r + 2*pi*i*q) over that
 matrix's spectrum.  The ln-r parts cancel across the poles (determinant
-coherence) and the q parts sum to an integer, which is -c1.  The spectra
-are the rep's one spectral record (:func:`logroots.rep.local_spectra`);
+coherence) and the q parts sum to an integer, which is -c1.  In exact
+mode each q is a certified angle p/s, and the sum is taken in integers
+over the lcm of the denominators, so its integrality is one remainder
+rather than a floating snap.  The spectra are the rep's one spectral
+record (:func:`logroots.rep.local_spectra`);
 a sub, quotient or summand reads its share of its parent's record, which
 :func:`logroots.rep.analyze` split off, and a character's degree is
 computed once per eigenvalue triple.
@@ -13,6 +16,7 @@ computed once per eigenvalue triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -64,30 +68,37 @@ def chern_class(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     exact = spectra.exact
     per_pole = []
     q_total = 0.0
-    exact_total = Fraction(0) if exact else None
-    ln_total = 0.0
+    # exact mode: the angle sum as num / den over the lcm of all denominators
+    num, den = 0, 1
     branch_sensitive = False
     for pole, spectrum in zip(POLES, spectra.poles):
         trace = sum(ev.log() * ev.multiplicity for ev in spectrum)
-        q_sum = float(sum(ev.q * ev.multiplicity for ev in spectrum))
         exact_q = None
-        if exact:
-            exact_q = sum((ev.exact_angle * ev.multiplicity for ev in spectrum),
-                          Fraction(0))
-            exact_total += exact_q
-            q_sum = float(exact_q)
+        if not exact:
+            q_sum = float(sum(ev.q * ev.multiplicity for ev in spectrum))
+        else:
+            pole_den = math.lcm(*(ev.exact_angle.denominator
+                                  for ev in spectrum))
+            pole_num = sum(ev.exact_angle.numerator
+                           * (pole_den // ev.exact_angle.denominator)
+                           * ev.multiplicity for ev in spectrum)
+            exact_q = Fraction(pole_num, pole_den)
+            q_sum = pole_num / pole_den
+            lcm = math.lcm(den, pole_den)
+            num = num * (lcm // den) + pole_num * (lcm // pole_den)
+            den = lcm
         per_pole.append(PoleData(pole=pole, trace_of_log=complex(trace),
                                  q_sum=q_sum, exact_q_sum=exact_q))
         q_total += q_sum
-        ln_total += float(trace.real)
         branch_sensitive |= any(ev.branch_sensitive for ev in spectrum)
 
     raw = -q_total
     if exact:
-        if exact_total.denominator != 1:
+        if num % den:
             raise NonIntegerChern(
-                f"exact branch-angle sum {exact_total} is not an integer")
-        c1 = -int(exact_total)
+                f"exact branch-angle sum {Fraction(num, den)} is not an "
+                "integer")
+        c1 = -(num // den)
     else:
         c1 = round(raw)
         if abs(raw - c1) > tol.eps_int:
@@ -97,9 +108,9 @@ def chern_class(rep: MonodromyRep, tol: Tolerances = DEFAULT,
 
     # diagnostics: per-eigenvalue wraps at infinity (q + q_inv is 0 or 1) and
     # the determinant wrap between the finite poles and the product spectrum
-    prod_q = [1.0 - ev.q if ev.q > 0.0 else 0.0
-              for ev in _expand(spectra.poles[2])]
-    wraps = tuple(1 if ev.q > 0.0 else 0 for ev in _expand(spectra.poles[2]))
+    at_infinity = _expand(spectra.poles[2])
+    prod_q = [1.0 - ev.q if ev.q > 0.0 else 0.0 for ev in at_infinity]
+    wraps = tuple(1 if ev.q > 0.0 else 0 for ev in at_infinity)
     finite_q = sum(p.q_sum for p in per_pole[:2])
     det_wrap = round(finite_q - sum(prod_q))
     return ChernData(c1=c1, per_pole=tuple(per_pole), wrap_integers=wraps,

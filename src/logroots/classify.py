@@ -273,16 +273,14 @@ def _solve(rep: MonodromyRep, spectra: LocalSpectra,
     parts it solves in turn.  A character is solved once per eigenvalue
     triple: ``characters`` holds the results by spectra."""
     n = rep.n
-    if n == 1 and spectra in characters:
-        return characters[spectra]
     chern = chern_class(rep, tol, spectra=spectra)
     comp = structure()
 
     z = chern.c1
     # the results of a decomposable rep's two summands, or of the sub and
     # quotient of each short exact sequence
-    splits = [tuple(_solve(p.rep, p.spectra, p.structure, tol, characters)
-                    for p in pair) for pair in comp._parts()]
+    splits = [tuple(_solve_part(p, tol, characters) for p in pair)
+              for pair in comp._parts()]
     if comp.kind == "irreducible":
         options, provenance, notes = _roots_irreducible(n, z)
     elif comp.kind == "decomposable":
@@ -324,3 +322,11 @@ def _solve(rep: MonodromyRep, spectra: LocalSpectra,
     if n == 1:
         characters[spectra] = result
     return result
+
+
+def _solve_part(part, tol: Tolerances, characters: dict) -> SplittingResult:
+    """The result of a sub, quotient or summand ``part`` of a rep; a
+    character's is looked up in ``characters`` before its rep is built."""
+    known = characters.get(part.spectra) if part.character else None
+    return known or _solve(part.rep, part.spectra, part.structure, tol,
+                           characters)

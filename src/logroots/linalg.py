@@ -71,7 +71,8 @@ class BranchedEigenvalue:
     def inverse(self) -> "BranchedEigenvalue":
         """Branch data of 1/value; q maps to (1 - q) mod 1 exactly."""
         if self.exact_angle is not None:
-            qx = (-self.exact_angle) % 1
+            p, s = self.exact_angle.numerator, self.exact_angle.denominator
+            qx = Fraction(-p % s, s)
             q = float(qx)
         else:
             qx = None

@@ -264,9 +264,35 @@ def common_invariant_subspaces(rep: MonodromyRep, k: int,
 
 
 def _complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(basis)."""
-    _, _, vh = np.linalg.svd(basis.conj().T)
-    return vh.conj().T[:, basis.shape[1]:]
+    """Orthonormal basis of the orthogonal complement of span(basis), for
+    orthonormal columns ``basis`` of a proper subspace of C^2 or C^3.
+
+    The complement of n - 1 columns is the conjugate of their cross
+    product, or in C^2 of the column turned by a right angle; that of a
+    unit vector v in C^3 is the last two columns of the Householder
+    reflection I - c u u^H, c = 2 / |u|^2, which takes v to a multiple
+    of e1.
+    """
+    n, k = basis.shape
+    if k == n - 1:
+        w = (_cross(*basis.T) if n == 3
+             else np.array([-basis[1, 0], basis[0, 0]]))
+        return w.conj().reshape(n, 1)
+    v0, v1, v2 = basis[:, 0].tolist()
+    # u = v + e^{i arg v0} e1 keeps |u| away from 0
+    u0 = v0 + (v0 / abs(v0) if v0 else 1.0)
+    c = 2.0 / (abs(u0) ** 2 + abs(v1) ** 2 + abs(v2) ** 2)
+    w1, w2 = c * v1.conjugate(), c * v2.conjugate()
+    return np.array([[-u0 * w1, -u0 * w2],
+                     [1.0 - v1 * w1, -v1 * w2],
+                     [-v2 * w1, 1.0 - v2 * w2]])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cross product of two vectors of C^3, in scalar arithmetic:
+    for one pair that is several times quicker than ``np.cross``."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _match_at_infinity(z: complex,
@@ -328,6 +354,11 @@ class _Part:
     _rep: Optional[MonodromyRep] = None
     structure: Callable[[], "CompositionData"] = \
         lambda: CompositionData(kind="irreducible")
+
+    @property
+    def character(self) -> bool:
+        """True for a character, whose rep is not built until read."""
+        return self._rep is None
 
     @cached_property
     def rep(self) -> MonodromyRep:
@@ -506,7 +537,7 @@ def analyze(rep: MonodromyRep, tol: Tolerances = DEFAULT,
     # a plane's normal w = b1 x b2, for its orthonormal basis, is the
     # transposed eigenvector that found it up to a phase, and
     # w^T v = det[b1, b2, v]
-    normals = np.array([np.cross(*plane.basis.T) for plane in planes])
+    normals = np.array([_cross(*plane.basis.T) for plane in planes])
     vectors = np.array([line.basis[:, 0] for line in lines])
     gaps = np.abs(normals.reshape(-1, n) @ vectors.reshape(-1, n).T)
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logroots import (
     DEFAULT,
@@ -21,6 +23,8 @@ from logroots import (
     unitarity_test,
 )
 from logroots.chern import ChernData
+from logroots.linalg import BranchedEigenvalue
+from logroots.rep import LocalSpectra
 from logroots.errors import NonIntegerChern, ProvenBoundViolated
 
 from conftest import angle, random_invertible, random_unitary
@@ -120,6 +124,68 @@ class TestChernProperties:
                   for d in rng.choice(dens, 2)]
             chi = character(angle(qs[0]), angle(qs[1]))
             assert chern_class(chi).c1 == chern_class(chi, exact=True).c1
+
+
+@st.composite
+def planted_exact_spectra(draw):
+    """(n, poles): for each of three poles, certified angles p/s with
+    s <= 60 and multiplicities summing to n <= 3.  Half the draws set the
+    last angle at infinity so that the total is an integer."""
+    n = draw(st.integers(1, 3))
+    angle_of = st.integers(1, 60).flatmap(
+        lambda s: st.integers(0, s - 1).map(lambda p: Fraction(p, s)))
+    poles = []
+    for _ in range(3):
+        counts = draw(st.sampled_from(
+            [c for c in ([n], [1, n - 1], [n - 2, 1, 1], [1, 1, n - 2])
+             if min(c) > 0 and sum(c) == n]))
+        poles.append([(draw(angle_of), k) for k in counts])
+    if draw(st.booleans()) and poles[2][-1][1] == 1:
+        rest = sum(q * k for pole in poles for q, k in pole) - poles[2][-1][0]
+        poles[2][-1] = ((-rest) % 1, 1)
+    return n, poles
+
+
+def exact_spectra(poles) -> LocalSpectra:
+    return LocalSpectra(tuple(
+        tuple(BranchedEigenvalue(value=angle(float(q)), r=1.0, q=float(q),
+                                 multiplicity=k, exact_angle=q)
+              for q, k in pole) for pole in poles), exact=True)
+
+
+class TestExactSum:
+    """Exact chern_class sums over one lcm; a plain sum() of Fractions is
+    the reference."""
+
+    @given(planted_exact_spectra())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_fraction_sum(self, planted):
+        n, poles = planted
+        spectra = exact_spectra(poles)
+        sums = [sum((q * k for q, k in pole), Fraction(0)) for pole in poles]
+        total = sum(sums, Fraction(0))
+        if total.denominator != 1:
+            with pytest.raises(NonIntegerChern) as err:
+                chern_class(trivial(n), spectra=spectra)
+            assert str(err.value) == \
+                f"exact branch-angle sum {total} is not an integer"
+            return
+        data = chern_class(trivial(n), spectra=spectra)
+        assert data.exact and data.c1 == -int(total)
+        for pole, want in zip(data.per_pole, sums):
+            assert type(pole.exact_q_sum) is Fraction
+            assert pole.exact_q_sum == want
+            assert pole.q_sum == float(want)
+        assert data.raw_sum == -sum(float(q) for q in sums)
+
+    def test_repeated_angle_non_integer(self):
+        # a repeated angle counts with its multiplicity, and the message
+        # names the reduced sum 2/3 + 2/3 + 1/3 + 1/6 = 22/12
+        poles = [[(Fraction(1, 3), 2)], [(Fraction(1, 3), 2)],
+                 [(Fraction(1, 3), 1), (Fraction(1, 6), 1)]]
+        with pytest.raises(NonIntegerChern,
+                           match="exact branch-angle sum 11/6 is not"):
+            chern_class(trivial(2), spectra=exact_spectra(poles))
 
 
 class TestUnitarity:

@@ -286,6 +286,15 @@ class TestRootsDim3Reducible:
         assert res.composition_kind == "both" and len(res.parts) == 2
         assert calls == [worked_example]
 
+    def test_each_character_is_built_once(self, worked_example,
+                                          monkeypatch):
+        # a character part is looked up by its spectra before its rep is
+        # built; the exact flag has three distinct characters
+        calls = count_calls(monkeypatch, "rep", "character")
+        res = classify(worked_example, exact=True)
+        assert res.composition_kind == "both" and res.chern.exact
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("dims", [(2, 1), (1, 2)])
     def test_part_window_refusal(self, rng, dims):
         # a 2-block with c1 = -5 is refused at the part's dim-2 window, by

@@ -11,10 +11,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logroots import (DEFAULT, ExactModeError, MonodromyRep, classify,
                       eigenvalues, parse_input_document, preset)
-from logroots.exact import rational_angles
+from logroots.exact import _convergent, rational_angles
 
 from conftest import angle, random_unitary
 
@@ -145,3 +147,60 @@ class TestDomain:
                            p @ np.diag([angle(0.75), angle(0.5)]) @ pinv)
         with pytest.raises(ExactModeError):
             classify(rep, exact=True)
+
+
+def certificate_reference(q, max_den):
+    """The certificate of the angle ``q`` by the stdlib's best rational
+    approximation and the check that rational_angles applies to it."""
+    check = 1.0 / (100 * max_den ** 2)
+    frac = Fraction(q).limit_denominator(max_den) % 1
+    if abs(q - frac) > check and abs(q - 1 - frac) > check:
+        return None
+    return frac
+
+
+@st.composite
+def angles_near_rationals(draw):
+    """(q, N): q a rational p/s, s <= N, moved by a multiple of the check
+    on either side of its bound, then wrapped into [0, 1] as
+    rational_angles wraps an angle."""
+    max_den = draw(st.sampled_from([1, 12, 60, 4096]))
+    s = draw(st.integers(1, max_den))
+    p = draw(st.one_of(st.just(0), st.just(s), st.integers(0, s)))
+    factor = draw(st.sampled_from([0.0, 0.999999, 1.0, 1.000001, 1.5]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    q = p / s + sign * factor / (100 * max_den ** 2)
+    if q < 0.0:
+        q += 1.0
+    elif q > 1.0:
+        q -= 1.0
+    return q, max_den
+
+
+class TestConvergentCertificate:
+    """The convergent walk decides as the stdlib's limit_denominator and
+    the distance check do, accepting and refusing alike."""
+
+    @staticmethod
+    def assert_matches(q, max_den):
+        got = _convergent(q, max_den, 1.0 / (100 * max_den ** 2))
+        want = certificate_reference(q, max_den)
+        assert (None if got is None else Fraction(*got)) == want
+        if got is not None:
+            assert got == (want.numerator, want.denominator)
+
+    @given(angles_near_rationals())
+    @settings(max_examples=2000, deadline=None)
+    def test_near_rationals(self, case):
+        self.assert_matches(*case)
+
+    @given(st.floats(min_value=0.0, max_value=1.0),
+           st.sampled_from([1, 12, 60, 4096]))
+    @settings(max_examples=1000, deadline=None)
+    def test_any_angle(self, q, max_den):
+        self.assert_matches(q, max_den)
+
+    def test_edges(self):
+        for q in (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2 ** -53, 1.0):
+            for max_den in (1, 12, 60, 4096):
+                self.assert_matches(q, max_den)

@@ -27,6 +27,7 @@ from logroots import (
 )
 from logroots.errors import (DimensionError, InconsistentCertificate,
                              RelationViolated, SingularMatrix)
+from logroots.rep import _complement
 
 from conftest import angle, random_invertible, random_unitary
 
@@ -234,6 +235,24 @@ class TestAnalyze:
                                                     abs=1e-6 * scale)
                     assert t[1, 1] == pytest.approx(quotient[0, 0],
                                                     abs=1e-6 * scale)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2)])
+    def test_complement_matches_svd(self, rng, n, k):
+        # the closed-form complement spans the null space of B^H that
+        # numpy's SVD gives, and [B, C] is unitary; axis-aligned and real
+        # bases (a zero first entry, e1 itself) included
+        bases = [random_unitary(rng, n)[:, :k] for _ in range(50)]
+        bases += [np.eye(n, dtype=complex)[:, :k],
+                  np.eye(n, dtype=complex)[:, n - k:],
+                  np.eye(n, dtype=complex)[:, ::-1][:, :k]]
+        for basis in bases:
+            comp = _complement(basis)
+            assert comp.shape == (n, n - k)
+            p = np.hstack([basis, comp])
+            assert np.allclose(p.conj().T @ p, np.eye(n), atol=1e-12)
+            ref = np.linalg.svd(basis.conj().T)[2].conj().T[:, k:]
+            assert np.allclose(comp @ comp.conj().T, ref @ ref.conj().T,
+                               atol=1e-12)
 
     def test_sequence_sub_and_quotient_dims(self, worked_example):
         comp = analyze(worked_example)

@@ -170,11 +170,15 @@ def _cmd_verify(args) -> int:
         suite = [(ensemble, dim, count, checks)]
     else:
         suite = _DEFAULT_SUITE
+    try:
+        specs = [(SampleSpec(count=count, dim=dim, ensemble=ensemble,
+                             seed=args.seed), checks)
+                 for ensemble, dim, count, checks in suite]
+    except ValueError as exc:
+        raise SchemaError(f"verify: {exc}") from None
     reports = []
     failed = False
-    for ensemble, dim, count, checks in suite:
-        spec = SampleSpec(count=count, dim=dim, ensemble=ensemble,
-                          seed=args.seed)
+    for spec, checks in specs:
         report = sample_and_check(spec, list(checks), tol)
         print(report.summary())
         reports.append(report)

@@ -43,7 +43,8 @@ class Tolerances:
     # relative reconstruction / verification residual (exp/log round trips,
     # Jordan reconstruction, group relations, unitarity)
     eps_recon: float = 1e-8
-    # relative clustering radius deciding equal eigenvalues
+    # relative clustering radius deciding equal eigenvalues; the output's
+    # margins.cluster_gap counts the closest pair's distance in its units
     eps_cluster: float = 1e-7
     # distance from the branch cut q in {0, 1} below which q snaps to 0;
     # the snap moves exp(log z) by up to 2*pi*eps_branch relative
@@ -54,8 +55,6 @@ class Tolerances:
     eps_int: float = 1e-6
     # relative threshold for the dim-2 irreducibility certificate sigma
     eps_sigma: float = 1e-9
-    # condition number of the Jordan basis above which results are flagged
-    cond_max: float = 1e8
     # largest denominator tried when recognizing rational branch angles
     max_denominator: int = 4096
 

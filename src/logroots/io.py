@@ -5,14 +5,15 @@ one ``classify`` result: its degree, composition, roots and the roots of
 its first sequence's sub and quotient (or of its summands), which that
 one call read off the rep's own spectra and analysis.
 
-A document's linear algebra is done first, for all its reps at once: the
+A document's spectra are computed first, for all its reps at once: the
 local spectra of every M0, M1 and M0*M1 in one LAPACK call per dimension
 (``rep.local_spectra_batch``), which exact mode certifies matrix by
-matrix (``exact.rational_angles``), then the condition numbers of the
-Jordan bases behind ``low_confidence`` in two stacked SVDs per dimension
-(``linalg.jordan_cond_batch``).  The reps are then classified one by one.
-Each rep meets its own errors in the order a rep-by-rep run would, and a
-one-rep document is the single-rep case: ``classify_rep_to_json``.
+matrix (``exact.rational_angles``).  The reps are then classified one by
+one.  Each rep meets its own errors in the order a rep-by-rep run would,
+and a one-rep document is the single-rep case: ``classify_rep_to_json``.
+A record's ``margins`` are read off the same spectra, with no further
+linear algebra: ``cluster_gap`` says how close the nearest two distinct
+eigenvalues of a pole came to being merged by ``eps_cluster``.
 
 The schema files are the published contract.  Input is checked here
 without a schema library: the parser accepts and rejects exactly what
@@ -28,7 +29,9 @@ every record shape against it.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
+import math
 import re
 from fractions import Fraction
 from importlib import resources
@@ -39,8 +42,8 @@ from .chern import ChernData, chern_class
 from .classify import SplittingResult, classify
 from .config import DEFAULT, Tolerances
 from .errors import SchemaError
-from .linalg import _REP_ERRORS, _attempt, _value, jordan_cond_batch
-from .rep import MonodromyRep, local_spectra_batch
+from .linalg import _REP_ERRORS, _value
+from .rep import LocalSpectra, MonodromyRep, local_spectra_batch
 
 VERSION = "1"
 
@@ -208,17 +211,18 @@ def result_to_json(result: SplittingResult) -> dict:
 def classify_rep_to_json(rep: MonodromyRep, tol: Tolerances = DEFAULT,
                          exact: bool = False) -> dict:
     """Full per-rep output record: degree data, composition structure,
-    splitting result, and quality flags, all read from one record of the
-    rep's local spectra.  The one-rep case of ``classify_document``."""
+    splitting result, quality flags and decision margins, all read from
+    one record of the rep's local spectra.  The one-rep case of
+    ``classify_document``."""
     (record,) = classify_document([rep], tol, exact)["results"]
     return record
 
 
-def _classify_record(rep: MonodromyRep, spectra, low_confidence,
+def _classify_record(rep: MonodromyRep, spectra: LocalSpectra,
                      tol: Tolerances) -> dict:
-    """The record of ``rep`` from its outcomes of the document's stacked
-    passes: its ``LocalSpectra`` and its ``low_confidence`` flag."""
-    result = classify(rep, tol, spectra=_value(spectra))
+    """The record of ``rep`` from its local spectra, as the document's
+    stacked pass computed them."""
+    result = classify(rep, tol, spectra=spectra)
     record = {
         "label": rep.label,
         "n": rep.n,
@@ -227,10 +231,10 @@ def _classify_record(rep: MonodromyRep, spectra, low_confidence,
         "result": result_to_json(result),
         "flags": {
             "branch_sensitive": result.chern.branch_sensitive,
-            "low_confidence": _value(low_confidence),
             "non_isolated": result.non_isolated,
             "conjectural_notes": [n for n in result.notes if "conjectur" in n],
         },
+        "margins": {"cluster_gap": _cluster_gap(spectra, tol)},
     }
     if result.parts:
         sub, quotient = result.parts
@@ -242,45 +246,45 @@ def _classify_record(rep: MonodromyRep, spectra, low_confidence,
     return record
 
 
-def _low_confidence(reps: list[MonodromyRep], spectra: list,
-                    tol: Tolerances) -> list:
-    """Per rep, whether a Jordan basis of M0, M1 or M-infinity, built on
-    that pole's eigenvalues in the rep's spectra, is worse conditioned than
-    ``tol.cond_max``, from one ``jordan_cond_batch`` over all reps.  A
-    rep's entry is instead the exception met in reading its poles in turn
-    before a worse one, and None where the rep has no spectra."""
-    out: list = [None] * len(reps)
-    pairs, owners = [], []
-    for i, (rep, record) in enumerate(zip(reps, spectra)):
-        if isinstance(record, Exception):
-            continue
-        m_inf = _attempt(lambda: rep.m_infinity)
-        if isinstance(m_inf, Exception):
-            out[i] = m_inf
-            continue
-        pairs.extend(zip((rep.m0, rep.m1, m_inf), record.poles))
-        owners.append(i)
-    conds = jordan_cond_batch(pairs, tol)
-    for k, i in enumerate(owners):
-        out[i] = _attempt(_worse_than, conds[3 * k:3 * k + 3], tol.cond_max)
-    return out
+def _cluster_gap(spectra: LocalSpectra, tol: Tolerances):
+    """How far the closest two distinct eigenvalues of a pole are from
+    being merged into one, in units of ``tol.eps_cluster``; None where no
+    pole has two distinct eigenvalues.
+
+    At each pole, the smallest distance between two of its values over
+    the pole's spectral radius is the quantity that ``linalg`` compares
+    with ``eps_cluster`` when it merges a cluster; the least such ratio
+    over the poles is divided by ``eps_cluster``.  The values at infinity
+    are read back as those of M0*M1, the cluster means that were merged.
+    In exact mode the values are the certified ones, so the margin is
+    their separation.  A margin near 1 says a pair was barely kept apart:
+    there the Jordan structure, and with it the degree, may be wrong
+    (Golub & Wilkinson, SIAM Rev. 18 (1976) 578-619).  A zero
+    ``eps_cluster`` merges nothing, so it gives no margin either.
+    """
+    m0, m1, m_inf = spectra.poles
+    ratios = []
+    for values in ([ev.value for ev in m0], [ev.value for ev in m1],
+                   [1.0 / ev.value for ev in m_inf]):
+        if len(values) > 1:
+            gap = min(abs(a - b) for a, b in itertools.combinations(values, 2))
+            ratios.append(gap / max(map(abs, values)))
+    if not ratios or not tol.eps_cluster:
+        return None
+    margin = min(ratios) / tol.eps_cluster
+    return margin if math.isfinite(margin) else None
 
 
-def _worse_than(conds: list, cond_max: float) -> bool:
-    """Whether a cond(P) of ``conds`` exceeds ``cond_max``, read in turn;
-    a failure met before one does is raised."""
-    return any(_value(cond) > cond_max for cond in conds)
-
-
-def _document(reps: list[MonodromyRep], record, keep_going: bool,
-              *outcomes: list) -> dict:
-    """The output document of ``record(rep, *outcome)`` per rep, each
-    outcome the rep's entry of a stacked pass; with keep_going, a rep that
-    fails becomes an error record instead of aborting the batch."""
+def _document(reps: list[MonodromyRep], record, tol: Tolerances,
+              exact: bool, keep_going: bool) -> dict:
+    """The output document of ``record(rep, spectra)`` per rep, its local
+    spectra taken in one stacked pass over all reps; with keep_going, a
+    rep whose spectra or record fails becomes an error record instead of
+    aborting the batch."""
     results = []
-    for rep, *outcome in zip(reps, *outcomes):
+    for rep, spectra in zip(reps, local_spectra_batch(reps, tol, exact)):
         try:
-            results.append(record(rep, *outcome))
+            results.append(record(rep, _value(spectra)))
         except _REP_ERRORS as exc:
             if not keep_going:
                 raise
@@ -297,15 +301,11 @@ def classify_document(reps: list[MonodromyRep], tol: Tolerances = DEFAULT,
     """Batch-classify; with keep_going, failures become per-rep error
     objects instead of aborting the batch.
 
-    The linear algebra of all reps comes first, in stacked calls: their
-    local spectra, then the conditioning of their Jordan bases.  Each rep
-    is then classified on its own and meets its errors in the order a
-    rep-by-rep run would: its spectra, its classification, then the
-    conditioning."""
-    spectra = local_spectra_batch(reps, tol, exact)
-    return _document(
-        reps, lambda rep, s, low: _classify_record(rep, s, low, tol),
-        keep_going, spectra, _low_confidence(reps, spectra, tol))
+    The local spectra of all reps come first, in one stacked pass.  Each
+    rep is then classified on its own and meets its errors in the order
+    a rep-by-rep run would: its spectra, then its classification."""
+    return _document(reps, lambda rep, s: _classify_record(rep, s, tol),
+                     tol, exact, keep_going)
 
 
 def chern_document(reps: list[MonodromyRep], tol: Tolerances = DEFAULT,
@@ -315,5 +315,5 @@ def chern_document(reps: list[MonodromyRep], tol: Tolerances = DEFAULT,
     return _document(reps, lambda rep, s: {
         "label": rep.label,
         "n": rep.n,
-        "chern": chern_to_json(chern_class(rep, tol, spectra=_value(s))),
-    }, keep_going, local_spectra_batch(reps, tol, exact))
+        "chern": chern_to_json(chern_class(rep, tol, spectra=s)),
+    }, tol, exact, keep_going)

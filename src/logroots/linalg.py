@@ -222,8 +222,6 @@ class JordanDecomposition:
     P: np.ndarray
     J: np.ndarray
     blocks: tuple[tuple[BranchedEigenvalue, int], ...]
-    cond_P: float
-    low_confidence: bool
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -231,34 +229,20 @@ class JordanDecomposition:
 
 
 def _shifted(a: np.ndarray, values) -> np.ndarray:
-    """The stack of A - lambda I over ``values``; for a stack of matrices
-    A, one such stack per A over its own row of ``values``."""
-    return a[..., None, :, :] \
-        - np.asarray(values)[..., None, None] * np.eye(a.shape[-1])
+    """The stack of A - lambda I over ``values``."""
+    return a - np.asarray(values)[:, None, None] * np.eye(a.shape[0])
 
 
-def _rank_threshold(a: np.ndarray, tol: Tolerances) -> float:
-    return tol.eps_rank * max(np.linalg.norm(a), 1.0)
-
-
-def _simple_eigenvectors(shifted: np.ndarray, thr) -> np.ndarray:
+def _simple_eigenvectors(shifted: np.ndarray, thr: float) -> np.ndarray:
     """Null vectors, as rows, of a stack of A - lambda I over simple
     eigenvalues, from one SVD of the stack: per matrix, the first right
-    singular vector whose singular value is within its ``thr`` (the
-    ``tol.eps_rank`` share of its A's scale), or else the least singular
+    singular vector whose singular value is within ``thr`` (the
+    ``tol.eps_rank`` share of A's scale), or else the least singular
     direction."""
     _, s, vh = np.linalg.svd(shifted)
-    small = s <= np.reshape(thr, (-1, 1))
+    small = s <= thr
     pick = np.where(small.any(axis=1), small.argmax(axis=1), s.shape[1] - 1)
     return vh[np.arange(len(shifted)), pick].conj()
-
-
-def _conds(ps: np.ndarray) -> np.ndarray:
-    """The 2-norm condition number of each matrix of a stack, s[0]/s[-1]
-    of its singular values, as ``np.linalg.cond`` computes it."""
-    s = np.linalg.svd(ps, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        return s[:, 0] / s[:, -1]
 
 
 def _chains_for_eigenvalue(a: np.ndarray, ev: BranchedEigenvalue,
@@ -315,10 +299,6 @@ def _chains_for_eigenvalue(a: np.ndarray, ev: BranchedEigenvalue,
     return [chain, [w / np.linalg.norm(w)]]
 
 
-def _by_q(spectrum) -> list[BranchedEigenvalue]:
-    return sorted(spectrum, key=lambda ev: (ev.q, ev.r))
-
-
 def jordan_form(a, tol: Tolerances = DEFAULT,
                 spectrum: Optional[Iterable[BranchedEigenvalue]] = None
                 ) -> JordanDecomposition:
@@ -327,19 +307,17 @@ def jordan_form(a, tol: Tolerances = DEFAULT,
     The eigenvalues are ``spectrum``, A's own (such as one pole of a rep's
     local spectra), or computed here when not given.  The eigenvectors of
     all simple eigenvalues come from one SVD of the stack of their
-    (A - lambda I), the step ``jordan_cond_batch`` takes for many matrices
-    at once; a repeated eigenvalue takes its geometric multiplicity and
-    chains from SVD ranks of (A - lambda I)^k.  When cond(P) exceeds
-    ``tol.cond_max`` the result is flagged low-confidence rather than
-    rejected.
+    (A - lambda I); a repeated eigenvalue takes its geometric multiplicity
+    and chains from SVD ranks of (A - lambda I)^k.  ``principal_log``
+    builds its logarithm on this basis.
     """
     a = as_matrix(a)
     if spectrum is None:
         spectrum = eigenvalues(a, tol)
-    spectrum = _by_q(spectrum)
+    spectrum = sorted(spectrum, key=lambda ev: (ev.q, ev.r))
     simple = [ev.value for ev in spectrum if ev.multiplicity == 1]
-    vecs = iter(_simple_eigenvectors(_shifted(a, simple),
-                                     _rank_threshold(a, tol))
+    thr = tol.eps_rank * max(np.linalg.norm(a), 1.0)
+    vecs = iter(_simple_eigenvectors(_shifted(a, simple), thr)
                 if simple else ())
     cols = []
     blocks = []
@@ -362,59 +340,7 @@ def jordan_form(a, tol: Tolerances = DEFAULT,
             if i + 1 < size:
                 j[pos + i, pos + i + 1] = 1.0
         pos += size
-    cond = float(_conds(p[None])[0])
-    return JordanDecomposition(P=p, J=j, blocks=tuple(blocks), cond_P=cond,
-                               low_confidence=cond > tol.cond_max)
-
-
-def jordan_cond_batch(pairs, tol: Tolerances = DEFAULT) -> list:
-    """``jordan_form(a, tol, spectrum).cond_P`` for each (a, spectrum) of
-    ``pairs``, or the exception that raises.
-
-    Where every eigenvalue of a matrix is simple, its Jordan basis P is
-    its eigenvectors, taken as ``jordan_form`` takes them; the matrices of
-    a dimension share one SVD for all their (A - lambda I) and one for all
-    their P.  A matrix with a repeated eigenvalue goes through
-    ``jordan_form``, and so does each matrix of a stack whose SVD raises
-    ``LinAlgError``.
-    """
-    out: list = [None] * len(pairs)
-    groups: dict[int, list] = {}
-    for i, (a, spectrum) in enumerate(pairs):
-        a = _attempt(as_matrix, a)
-        if isinstance(a, Exception):
-            out[i] = a
-            continue
-        spectrum = _by_q(spectrum)
-        if all(ev.multiplicity == 1 for ev in spectrum):
-            groups.setdefault(a.shape[0], []).append((i, a, spectrum))
-        else:
-            out[i] = _attempt(_cond_P, a, tol, spectrum)
-    for n, group in groups.items():
-        try:
-            conds = _simple_conds(group, n, tol)
-        except np.linalg.LinAlgError:
-            conds = [_attempt(_cond_P, a, tol, spectrum)
-                     for _, a, spectrum in group]
-        for (i, _, _), cond in zip(group, conds):
-            out[i] = cond
-    return out
-
-
-def _cond_P(a: np.ndarray, tol: Tolerances,
-            spectrum: list[BranchedEigenvalue]) -> float:
-    return jordan_form(a, tol, spectrum).cond_P
-
-
-def _simple_conds(group, n: int, tol: Tolerances) -> list[float]:
-    """cond(P) for matrices with n simple eigenvalues each: P's columns are
-    the eigenvectors in the order of the spectrum."""
-    shifted = _shifted(np.stack([a for _, a, _ in group]),
-                       [[ev.value for ev in spectrum]
-                        for _, _, spectrum in group]).reshape(-1, n, n)
-    thr = np.repeat([_rank_threshold(a, tol) for _, a, _ in group], n)
-    vecs = _simple_eigenvectors(shifted, thr)
-    return _conds(vecs.reshape(-1, n, n).transpose(0, 2, 1)).tolist()
+    return JordanDecomposition(P=p, J=j, blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)

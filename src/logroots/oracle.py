@@ -26,6 +26,9 @@ from .linalg import _value
 from .rep import MonodromyRep, _spectra, local_spectra_batch
 
 ENSEMBLES = ("generic", "unitary", "rationalAngle", "blockUpperTriangular")
+# the planted splits of a dim-3 blockUpperTriangular sample; at dim 2 it
+# is always 1+1, and a character has no split
+_SPLITS = ("2+1", "1+2", "1+1+1")
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class SampleSpec:
     ensemble: str = "generic"
     seed: int = 0
     max_denominator: int = 12
-    split: str = "2+1"  # planted split for blockUpperTriangular
+    split: str = "2+1"  # planted split for blockUpperTriangular at dim 3
 
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
@@ -44,6 +47,14 @@ class SampleSpec:
             raise ValueError("dim must be 1, 2 or 3")
         if self.count < 0:
             raise ValueError(f"count {self.count} is negative")
+        if self.ensemble == "blockUpperTriangular":
+            if self.dim == 1:
+                raise ValueError("blockUpperTriangular needs dim 2 or 3: "
+                                 "a character has no invariant subspace "
+                                 "to plant")
+            if self.dim == 3 and self.split not in _SPLITS:
+                raise ValueError(f"split {self.split!r} is not one of "
+                                 f"{', '.join(_SPLITS)}")
 
 
 @dataclass

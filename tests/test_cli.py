@@ -83,16 +83,15 @@ class TestClassify:
         # LAPACK's refusal of a rep exits 3 like the program's own, with
         # or without --keep-going
         import numpy as np
-        import logroots.linalg as llinalg
 
-        def failing(a, tol=None, spectrum=None):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        # pslz-section5 has repeated eigenvalues: its Jordan bases are
-        # built by jordan_form
-        monkeypatch.setattr(llinalg, "jordan_form", failing)
+        # the stacked solve fails, and so does each matrix solved alone
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
         assert main(["classify", pslz_path]) == 3
-        assert "LinAlgError: SVD did not converge" in capsys.readouterr().err
+        assert "LinAlgError: Eigenvalues did not converge" in \
+            capsys.readouterr().err
         assert main(["classify", pslz_path, "--keep-going"]) == 3
         (rec,) = json.loads(capsys.readouterr().out)["results"]
         assert rec["error"]["type"] == "LinAlgError"
@@ -226,6 +225,15 @@ class TestVerify:
         assert report["spec"]["count"] == 3
         assert report["spec"]["ensemble"] == "generic"
 
+    def test_planted_character_is_usage_error(self, capsys):
+        assert main(["verify", "--ensemble", "blockUpperTriangular",
+                     "--dim", "1", "--count", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verify: blockUpperTriangular needs dim 2 or 3: a "
+            "character has no invariant subspace to plant\n")
+
     def test_explicit_checks(self, capsys):
         assert main(["verify", "--ensemble", "generic", "--dim", "3",
                      "--count", "20", "--checks", "sum-rule",
@@ -263,9 +271,17 @@ class TestTolerances:
         cfg.write_text(json.dumps({"no_such_tolerance": 1.0}))
         assert main(["classify", pslz_path, "--config", str(cfg)]) == 2
 
+    def test_retired_cond_max_is_unknown(self, pslz_path, tmp_path, capsys):
+        # the Jordan-basis condition bound is gone with its flag
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps({"cond_max": 1e8}))
+        assert main(["classify", pslz_path, "--config", str(cfg)]) == 2
+        assert "unknown tolerance names in config: ['cond_max']" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("config", [
         {"eps_sing": "x"}, {"eps_sing": -1.0}, {"eps_int": True},
-        {"eps_sing": None}, {"cond_max": 1e400}, {"max_denominator": 2.5},
+        {"eps_sing": None}, {"eps_recon": 1e400}, {"max_denominator": 2.5},
         {"max_denominator": 0}, {"max_denominator": True},
         {"max_denominator": "60"},
     ])
@@ -280,7 +296,7 @@ class TestTolerances:
 
     @pytest.mark.parametrize("flag, value", [
         ("--tol-eps-sing", "-1"), ("--tol-eps-sing", "nan"),
-        ("--tol-cond-max", "inf"), ("--tol-max-denominator", "0"),
+        ("--tol-eps-recon", "inf"), ("--tol-max-denominator", "0"),
         ("--tol-max-denominator", "-5"),
     ])
     def test_bad_flag_value_is_schema_error(self, flag, value, pslz_path,

@@ -11,8 +11,8 @@ from logroots.errors import SchemaError
 
 @pytest.mark.parametrize("name, value", [
     ("eps_sing", "x"), ("eps_sing", -1.0), ("eps_cluster", math.nan),
-    ("cond_max", math.inf),
-    pytest.param("cond_max", 10 ** 400, id="cond_max-int-beyond-float"),
+    ("eps_recon", math.inf),
+    pytest.param("eps_recon", 10 ** 400, id="eps_recon-int-beyond-float"),
     ("eps_int", True),
     ("eps_rank", None), ("max_denominator", 2.5), ("max_denominator", 0),
     ("max_denominator", True), ("max_denominator", "60"),

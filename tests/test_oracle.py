@@ -1,6 +1,7 @@
 """Sampling ensembles, randomized checks, and the direct-sum ground truth."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="negative"):
             SampleSpec(count=-5, dim=2)
         assert list(sample_reps(SampleSpec(count=0, dim=2))) == []
+
+    def test_planted_split_needs_dim_two_or_three(self):
+        # a character has no invariant subspace to plant; the 1+1 split
+        # it was once given sampled 2x2 reps
+        with pytest.raises(ValueError, match="dim 2 or 3"):
+            SampleSpec(count=3, dim=1, ensemble="blockUpperTriangular")
+
+    @pytest.mark.parametrize("split", ["2+2", "1+1", "3", "2+1+1"])
+    def test_dim3_split_is_a_partition_of_three(self, split):
+        # refused when the spec is made, not while its samples are drawn
+        with pytest.raises(ValueError, match=re.escape(f"split '{split}'")):
+            SampleSpec(count=2, dim=3, ensemble="blockUpperTriangular",
+                       split=split)
+        for planted in ("2+1", "1+2", "1+1+1"):
+            spec = SampleSpec(count=2, dim=3, ensemble="blockUpperTriangular",
+                              split=planted)
+            assert all(rep.n == 3 for rep in sample_reps(spec))
 
 
 class TestSampleAndCheck:

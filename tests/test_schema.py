@@ -266,3 +266,18 @@ class TestOutputConformance:
     def test_chern_document(self, worked_example):
         for exact in (False, True):
             OUTPUT.validate(chern_document([worked_example], exact=exact))
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "low_confidence"),
+        (("flags",), "low_confidence"),
+        (("margins",), "cluster_gaps"),
+    ])
+    def test_records_are_closed(self, worked_example, path, key):
+        # a stale or misspelled field is not a valid record
+        doc = classify_document([worked_example])
+        OUTPUT.validate(doc)
+        obj = doc["results"][0]
+        for name in path:
+            obj = obj[name]
+        obj[key] = False
+        assert not OUTPUT.is_valid(doc)

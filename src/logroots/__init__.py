@@ -44,10 +44,8 @@ from .io import (
 )
 from .linalg import (
     BranchedEigenvalue,
-    JordanDecomposition,
     PrincipalLog,
     eigenvalues,
-    jordan_form,
     principal_log,
 )
 from .oracle import (
@@ -86,7 +84,6 @@ __all__ = [
     "ExactModeError",
     "InconsistentCertificate",
     "InvariantSubspace",
-    "JordanDecomposition",
     "LocalSpectra",
     "LogrootsError",
     "MonodromyRep",
@@ -119,7 +116,6 @@ __all__ = [
     "direct_sum_oracle",
     "eigenvalues",
     "ext_splits",
-    "jordan_form",
     "load_input",
     "local_spectra",
     "parse_input_document",

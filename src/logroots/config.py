@@ -38,10 +38,8 @@ def _checked(name: str, value, integer: bool):
 class Tolerances:
     # invertibility: |det A| must exceed this
     eps_sing: float = 1e-12
-    # relative singular-value threshold for numerical rank
-    eps_rank: float = 1e-9
-    # relative reconstruction / verification residual (exp/log round trips,
-    # Jordan reconstruction, group relations, unitarity)
+    # residual allowed in the modular-group relations (relative to the
+    # scale) and in the unitarity test
     eps_recon: float = 1e-8
     # relative clustering radius deciding equal eigenvalues; the output's
     # margins.cluster_gap counts the closest pair's distance in its units

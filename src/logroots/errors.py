@@ -21,8 +21,12 @@ class NonFiniteMatrix(LogrootsError, ValueError):
 class InconsistentCertificate(LogrootsError):
     """The subspace search and the sigma certificate disagree about
     irreducibility, or a sub, quotient or summand has a block eigenvalue
-    that matches no parent eigenvalue, or several.  Usually a sign of a
-    borderline input; rerun with exact rational-angle data."""
+    that matches no parent eigenvalue, or several.  The message states
+    both verdicts and the tolerance each was judged against: the line
+    search's relative pencil residual ``eps_inv``, sigma's ``eps_sigma``
+    times the eigenvalue scale, or the ``eps_cluster`` radius of the
+    match.  Usually a sign of a borderline input, such as eigenvalues
+    merged within ``eps_cluster``."""
 
 
 class RelationViolated(LogrootsError):

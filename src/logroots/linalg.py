@@ -9,10 +9,11 @@ used throughout the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -198,149 +199,9 @@ def _solved(a: np.ndarray, raw: np.ndarray,
     return _branched(raw.tolist(), tol)
 
 
-def _rank(m: np.ndarray, tol: Tolerances, scale: float) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > tol.eps_rank * max(scale, 1e-300)))
-
-
-def _null_basis(m: np.ndarray, tol: Tolerances, scale: float) -> np.ndarray:
-    """Orthonormal basis of the numerical null space, columns."""
-    _, s, vh = np.linalg.svd(m)
-    thr = tol.eps_rank * max(scale, 1e-300)
-    small = np.concatenate([s, np.zeros(m.shape[1] - len(s))]) <= thr
-    return vh.conj().T[:, small]
-
-
-@dataclass(frozen=True)
-class JordanDecomposition:
-    """A = P J P^{-1} with J in Jordan form.
-
-    ``blocks`` lists (eigenvalue, size) pairs in the order they appear in J:
-    eigenvalues ordered by (q, r) lexicographically, larger blocks first.
-    """
-
-    P: np.ndarray
-    J: np.ndarray
-    blocks: tuple[tuple[BranchedEigenvalue, int], ...]
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(size for _, size in self.blocks)
-
-
 def _shifted(a: np.ndarray, values) -> np.ndarray:
     """The stack of A - lambda I over ``values``."""
     return a - np.asarray(values)[:, None, None] * np.eye(a.shape[0])
-
-
-def _simple_eigenvectors(shifted: np.ndarray, thr: float) -> np.ndarray:
-    """Null vectors, as rows, of a stack of A - lambda I over simple
-    eigenvalues, from one SVD of the stack: per matrix, the first right
-    singular vector whose singular value is within ``thr`` (the
-    ``tol.eps_rank`` share of A's scale), or else the least singular
-    direction."""
-    _, s, vh = np.linalg.svd(shifted)
-    small = s <= thr
-    pick = np.where(small.any(axis=1), small.argmax(axis=1), s.shape[1] - 1)
-    return vh[np.arange(len(shifted)), pick].conj()
-
-
-def _chains_for_eigenvalue(a: np.ndarray, ev: BranchedEigenvalue,
-                           tol: Tolerances) -> list[list[np.ndarray]]:
-    """Jordan chains for one repeated eigenvalue, largest block first.
-
-    Each chain is returned base-first: [N^{k-1}v, ..., Nv, v].
-    """
-    n = a.shape[0]
-    lam = ev.value
-    m = ev.multiplicity
-    nil = a - lam * np.eye(n)
-    scale = max(np.linalg.norm(a), 1.0)
-    g = n - _rank(nil, tol, scale)
-    g = min(max(g, 1), m)
-    if g == m:
-        basis = _null_basis(nil, tol, scale)
-        if basis.shape[1] < m:  # borderline rank call; take the smallest directions
-            _, _, vh = np.linalg.svd(nil)
-            basis = vh.conj().T[:, -m:]
-        return [[basis[:, i]] for i in range(m)]
-    if m == 2:
-        # one block of size 2 inside ker(nil^2); maximize |nil v| within it
-        ker2 = _null_basis(nil @ nil, tol, scale**2)
-        if ker2.shape[1] < 2:
-            _, _, vh = np.linalg.svd(nil @ nil)
-            ker2 = vh.conj().T[:, -2:]
-        _, _, wh = np.linalg.svd(nil @ ker2)
-        v = ker2 @ wh.conj().T[:, 0]
-        u = nil @ v
-        return [[u / np.linalg.norm(u), v / np.linalg.norm(u)]]
-    # m == 3
-    if g == 1:
-        # single block of size 3: v maximizing |nil^2 v|
-        _, _, vh = np.linalg.svd(nil @ nil)
-        v = vh.conj().T[:, 0]
-        u1 = nil @ nil @ v
-        nrm = np.linalg.norm(u1)
-        return [[u1 / nrm, (nil @ v) / nrm, v / nrm]]
-    # g == 2: blocks {2, 1}; here nil^2 = 0, so chain from the top direction of nil
-    _, _, vh = np.linalg.svd(nil)
-    v = vh.conj().T[:, 0]
-    u = nil @ v
-    nrm = np.linalg.norm(u)
-    chain = [u / nrm, v / nrm]
-    ker = _null_basis(nil, tol, scale)
-    if ker.shape[1] == 0:
-        _, _, vh2 = np.linalg.svd(nil)
-        ker = vh2.conj().T[:, -2:]
-    # pick the kernel direction most independent of the chain base
-    proj = ker - np.outer(chain[0], chain[0].conj() @ ker)
-    norms = np.linalg.norm(proj, axis=0)
-    w = proj[:, int(np.argmax(norms))]
-    return [chain, [w / np.linalg.norm(w)]]
-
-
-def jordan_form(a, tol: Tolerances = DEFAULT,
-                spectrum: Optional[Iterable[BranchedEigenvalue]] = None
-                ) -> JordanDecomposition:
-    """Jordan decomposition A = P J P^{-1} for invertible A, n <= 3.
-
-    The eigenvalues are ``spectrum``, A's own (such as one pole of a rep's
-    local spectra), or computed here when not given.  The eigenvectors of
-    all simple eigenvalues come from one SVD of the stack of their
-    (A - lambda I); a repeated eigenvalue takes its geometric multiplicity
-    and chains from SVD ranks of (A - lambda I)^k.  ``principal_log``
-    builds its logarithm on this basis.
-    """
-    a = as_matrix(a)
-    if spectrum is None:
-        spectrum = eigenvalues(a, tol)
-    spectrum = sorted(spectrum, key=lambda ev: (ev.q, ev.r))
-    simple = [ev.value for ev in spectrum if ev.multiplicity == 1]
-    thr = tol.eps_rank * max(np.linalg.norm(a), 1.0)
-    vecs = iter(_simple_eigenvectors(_shifted(a, simple), thr)
-                if simple else ())
-    cols = []
-    blocks = []
-    for ev in spectrum:
-        if ev.multiplicity == 1:
-            chains = [[next(vecs)]]
-        else:
-            chains = _chains_for_eigenvalue(a, ev, tol)
-            chains.sort(key=len, reverse=True)
-        for chain in chains:
-            blocks.append((ev, len(chain)))
-            cols.extend(chain)
-    p = np.column_stack(cols)
-    n = a.shape[0]
-    j = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for ev, size in blocks:
-        for i in range(size):
-            j[pos + i, pos + i] = ev.value
-            if i + 1 < size:
-                j[pos + i, pos + i + 1] = 1.0
-        pos += size
-    return JordanDecomposition(P=p, J=j, blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -351,30 +212,54 @@ class PrincipalLog:
     trace_of_log: complex
 
 
-def _log_jordan_block(ev: BranchedEigenvalue, size: int) -> np.ndarray:
-    # (ln r + 2 pi i q) I + log(I + N/lambda); the nilpotent series is finite
-    lam = ev.value
-    base = ev.log() * np.eye(size, dtype=complex)
-    if size >= 2:
-        nil = np.diag(np.ones(size - 1, dtype=complex), 1) / lam
-        base += nil
-        if size == 3:
-            base -= 0.5 * (nil @ nil)
-    return base
+def _log_slope(e1: BranchedEigenvalue, e2: BranchedEigenvalue) -> complex:
+    """The divided difference f[l1, l2] of f = ``BranchedEigenvalue.log``,
+    f'(l1) = 1/l1 where l1 = l2.
+
+    For close points it takes log(l2/l1) = 2 atanh((l2 - l1)/(l2 + l1)),
+    which cancels no digits, on the branches of e1 and e2: the two logs
+    differ from it by 2 pi i k, k read off their angles q."""
+    d = e2.value - e1.value
+    if d == 0:
+        return 1.0 / e1.value
+    s = e2.value + e1.value
+    if abs(d) >= 0.5 * abs(s):
+        return (e2.log() - e1.log()) / d
+    w = 2.0 * cmath.atanh(d / s)
+    k = round(e2.q - e1.q - w.imag / _TWO_PI)
+    return (w + 1j * _TWO_PI * k) / d
 
 
 def principal_log(a, tol: Tolerances = DEFAULT) -> PrincipalLog:
     """Principal matrix logarithm: exp(L) = A with every eigenvalue of L
-    having imaginary part in [0, 2*pi)."""
+    having imaginary part in [0, 2*pi).
+
+    L is the Hermite interpolating polynomial of the q-branch log f on
+    A's spectrum, listed with multiplicity, in Newton form (Higham,
+    *Functions of Matrices*, SIAM 2008, Ch. 1 and 11):
+    L = f[l1] I + f[l1,l2] (A - l1 I) + f[l1,l2,l3] (A - l1 I)(A - l2 I).
+    A repeated point takes f' = 1/l and f''/2 = -1/(2 l^2), so no Jordan
+    basis is needed.  For n = 3, l1 and l3 are the pair farthest apart,
+    whose distance the second divided difference divides by.
+    """
     a = as_matrix(a)
-    jd = jordan_form(a, tol)
-    n = a.shape[0]
-    logj = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for ev, size in jd.blocks:
-        logj[pos:pos + size, pos:pos + size] = _log_jordan_block(ev, size)
-        pos += size
-    l = jd.P @ logj @ np.linalg.inv(jd.P)
-    evs = dict.fromkeys(ev for ev, _ in jd.blocks)
-    trace = sum(ev.log() * ev.multiplicity for ev in evs)
+    spectrum = eigenvalues(a, tol)
+    pts = [ev for ev in spectrum for _ in range(ev.multiplicity)]
+    n = len(pts)
+    if n == 3:
+        i, j = max(((0, 1), (0, 2), (1, 2)),
+                   key=lambda p: abs(pts[p[1]].value - pts[p[0]].value))
+        pts = [pts[i], pts[3 - i - j], pts[j]]
+    eye = np.eye(n)
+    l = pts[0].log() * eye
+    if n > 1:
+        shifted = a - pts[0].value * eye
+        slope = _log_slope(pts[0], pts[1])
+        l = l + slope * shifted
+        if n == 3:
+            l1, l2, l3 = (ev.value for ev in pts)
+            curve = (-0.5 / l1 ** 2 if l3 == l1 else
+                     (_log_slope(pts[1], pts[2]) - slope) / (l3 - l1))
+            l = l + curve * (shifted @ (a - l2 * eye))
+    trace = sum(ev.log() * ev.multiplicity for ev in spectrum)
     return PrincipalLog(L=l, trace_of_log=trace)

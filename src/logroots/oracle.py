@@ -56,6 +56,15 @@ class SampleSpec:
                 raise ValueError(f"split {self.split!r} is not one of "
                                  f"{', '.join(_SPLITS)}")
 
+    @property
+    def planted_split(self) -> Optional[str]:
+        """The split ``sample_rep`` plants: 1+1 at dim 2 and ``split`` at
+        dim 3 for blockUpperTriangular; None for an ensemble that plants
+        nothing."""
+        if self.ensemble != "blockUpperTriangular":
+            return None
+        return self.split if self.dim == 3 else "1+1"
+
 
 @dataclass
 class OracleReport:
@@ -79,7 +88,7 @@ class OracleReport:
                 "ensemble": self.spec.ensemble,
                 "seed": self.spec.seed,
                 "max_denominator": self.spec.max_denominator,
-                "split": self.spec.split,
+                "split": self.spec.planted_split,
             },
             "checks": list(self.checks),
             "ok": self.ok,
@@ -192,7 +201,7 @@ def sample_rep(spec: SampleSpec, rng: np.random.Generator) -> MonodromyRep:
     if spec.ensemble == "rationalAngle":
         m0, m1 = _rational_angle_pair(rng, n, spec.max_denominator)
         return MonodromyRep(m0, m1)
-    m0, m1 = _planted_reducible_pair(rng, spec.split if n == 3 else "1+1")
+    m0, m1 = _planted_reducible_pair(rng, spec.planted_split)
     return MonodromyRep(m0, m1)
 
 

@@ -454,12 +454,13 @@ class CompositionData:
 
 
 def _sigma_certificate(rep: MonodromyRep, spectra: LocalSpectra,
-                       tol: Tolerances) -> tuple[complex, bool]:
+                       tol: Tolerances) -> tuple[complex, float]:
     """Dim-2 irreducibility certificate.
 
     sigma = tr(M0 M1) - (l0*l1 + m0*m1) for a pairing of the eigenvalues;
     the rep is irreducible iff sigma != 0 for both pairings.  Returns the
-    smaller-magnitude value and the nonzero verdict.
+    smaller-magnitude value and the bound ``tol.eps_sigma`` * scale that
+    |sigma| must exceed to count as nonzero.
     """
     e0, e1 = ([ev.value for ev in spectrum for _ in range(ev.multiplicity)]
               for spectrum in spectra.poles[:2])
@@ -468,7 +469,7 @@ def _sigma_certificate(rep: MonodromyRep, spectra: LocalSpectra,
     s_b = trp - (e0[0] * e1[1] + e0[1] * e1[0])
     sigma = s_a if abs(s_a) <= abs(s_b) else s_b
     scale = max(1.0, max(abs(z) for z in e0) * max(abs(z) for z in e1))
-    return sigma, abs(sigma) > tol.eps_sigma * scale
+    return sigma, tol.eps_sigma * scale
 
 
 def _planar(rep: MonodromyRep, spectra: LocalSpectra, lines: list,
@@ -483,11 +484,15 @@ def _planar(rep: MonodromyRep, spectra: LocalSpectra, lines: list,
     complementary: the rep is the sum of the characters the second one
     splits it into; two lines of one pair make it scalar there.
     """
-    sigma, sigma_nonzero = _sigma_certificate(rep, spectra, tol)
-    if bool(lines) == sigma_nonzero:
+    sigma, bound = _sigma_certificate(rep, spectra, tol)
+    if bool(lines) == (abs(sigma) > bound):
+        line, sigma_reads, op = (("reducible", "irreducible", ">") if lines
+                                 else ("irreducible", "reducible", "<="))
         raise InconsistentCertificate(
-            f"subspace search found {len(lines)} invariant line(s) but "
-            f"|sigma| = {abs(sigma):.3e}; rerun with exact angles")
+            f"the line search found {len(lines)} invariant line(s): {line}, "
+            f"judged against eps_inv = {tol.eps_inv:.1e} relative; the sigma "
+            f"certificate reads {sigma_reads}: |sigma| = {abs(sigma):.3e} "
+            f"{op} eps_sigma*scale = {bound:.3e}")
     if not lines:
         return CompositionData(kind="irreducible", sigma=sigma)
     non_isolated = len({pair for pair, _ in lines}) < len(lines)

@@ -225,6 +225,19 @@ class TestVerify:
         assert report["spec"]["count"] == 3
         assert report["spec"]["ensemble"] == "generic"
 
+    @pytest.mark.parametrize("ensemble, dim, split", [
+        ("blockUpperTriangular", 2, "1+1"),
+        ("blockUpperTriangular", 3, "2+1"),
+        ("generic", 2, None),
+    ])
+    def test_report_records_planted_split(self, ensemble, dim, split,
+                                          tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["verify", "--ensemble", ensemble, "--dim", str(dim),
+              "--count", "2", "--out", str(out)])
+        (report,) = json.loads(out.read_text())
+        assert report["spec"]["split"] == split
+
     def test_planted_character_is_usage_error(self, capsys):
         assert main(["verify", "--ensemble", "blockUpperTriangular",
                      "--dim", "1", "--count", "3"]) == 2
@@ -271,12 +284,15 @@ class TestTolerances:
         cfg.write_text(json.dumps({"no_such_tolerance": 1.0}))
         assert main(["classify", pslz_path, "--config", str(cfg)]) == 2
 
-    def test_retired_cond_max_is_unknown(self, pslz_path, tmp_path, capsys):
-        # the Jordan-basis condition bound is gone with its flag
+    @pytest.mark.parametrize("name", ["cond_max", "eps_rank"])
+    def test_retired_tolerance_is_unknown(self, name, pslz_path, tmp_path,
+                                          capsys):
+        # the Jordan-basis condition bound and rank threshold are gone
+        # with their flags
         cfg = tmp_path / "tol.json"
-        cfg.write_text(json.dumps({"cond_max": 1e8}))
+        cfg.write_text(json.dumps({name: 1e-9}))
         assert main(["classify", pslz_path, "--config", str(cfg)]) == 2
-        assert "unknown tolerance names in config: ['cond_max']" in \
+        assert f"unknown tolerance names in config: ['{name}']" in \
             capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [

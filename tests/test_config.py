@@ -14,7 +14,7 @@ from logroots.errors import SchemaError
     ("eps_recon", math.inf),
     pytest.param("eps_recon", 10 ** 400, id="eps_recon-int-beyond-float"),
     ("eps_int", True),
-    ("eps_rank", None), ("max_denominator", 2.5), ("max_denominator", 0),
+    ("eps_inv", None), ("max_denominator", 2.5), ("max_denominator", 0),
     ("max_denominator", True), ("max_denominator", "60"),
     ("max_denominator", -5),
 ])
@@ -33,9 +33,9 @@ def test_classify_refuses_before_computing():
 
 def test_valid_values_are_coerced():
     tol = DEFAULT.override(eps_int=0, eps_branch=0.0,
-                           max_denominator=np.int64(16), eps_rank=np.float64(1e-9))
+                           max_denominator=np.int64(16), eps_inv=np.float64(1e-9))
     assert tol.eps_int == 0.0 and type(tol.eps_int) is float
     assert tol.max_denominator == 16 and type(tol.max_denominator) is int
-    assert type(tol.eps_rank) is float
+    assert type(tol.eps_inv) is float
     assert DEFAULT.override(eps_int=0.0).eps_int == 0.0
     assert Tolerances() == DEFAULT

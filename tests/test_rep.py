@@ -506,6 +506,32 @@ class TestIsIrreducible:
             rep = MonodromyRep(random_unitary(rng, 2), random_unitary(rng, 2))
             analyze(rep)
 
+    def test_disagreement_states_both_verdicts(self):
+        # eps_cluster merges the eigenvalues of M0, so sigma reads
+        # reducible where the search finds no line; exact mode refuses
+        # the rep as well (modulus 1 + 5e-8), so the refusal advises no
+        # rerun
+        rep = MonodromyRep(np.diag([1.0, 1.0 + 5e-8]), [[0, 1], [1, 0]])
+        with pytest.raises(InconsistentCertificate, match=(
+                r"^the line search found 0 invariant line\(s\): irreducible, "
+                r"judged against eps_inv = 1\.0e-08 relative; the sigma "
+                r"certificate reads reducible: \|sigma\| = \S+ <= "
+                r"eps_sigma\*scale = 1\.000e-09$")):
+            classify(rep)
+
+    def test_disagreement_the_other_way(self, rng):
+        # a conjugated triangular pair has a line, and with eps_sigma = 0
+        # its sigma, nonzero by rounding, reads irreducible
+        p = random_invertible(rng, 2)
+        rep = MonodromyRep(*(p @ np.array(m) @ np.linalg.inv(p) for m in (
+            [[1.0, 1.0], [0.0, 2.0]], [[3.0, 1.0], [0.0, 5.0]])))
+        with pytest.raises(InconsistentCertificate, match=(
+                r"found 1 invariant line\(s\): reducible, judged against "
+                r"eps_inv = 1\.0e-08 relative; the sigma certificate reads "
+                r"irreducible: \|sigma\| = \S+ > eps_sigma\*scale = "
+                r"0\.000e\+00$")):
+            analyze(rep, DEFAULT.override(eps_sigma=0.0))
+
 
 class TestBuildFromPslz:
     def test_worked_example_matrices(self, worked_example):
